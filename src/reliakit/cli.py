@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--mode", choices=("smoke", "final"), required=True)
     verify.add_argument("--workspace", default=".", help="workspace root (default: .)")
     verify.add_argument("--out", default="out", help="output directory (default: out)")
-    verify.add_argument("--workers", type=int, default=1, help="parallel workers")
     return parser
 
 
@@ -80,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"passes over {grand['total_cells']} cells, outputs in {args.out}"
             )
         elif args.command == "verify":
-            report = cmd_verify(args.mode, args.workspace, args.out, workers=args.workers)
+            report = cmd_verify(args.mode, args.workspace, args.out)
             for check in report.checks:
                 state = "SKIP" if check.skipped else ("PASS" if check.passed else "FAIL")
                 print(f"{check.id:>3} {check.name:<24} {state}  {check.detail}")

@@ -72,9 +72,3 @@ class SchemaError(ReliakitError):
     """An output artifact does not conform to its pinned schema."""
 
     exit_code = EXIT_SCHEMA
-
-
-class GateFailureError(ReliakitError):
-    """The promotion gate reported at least one failing check."""
-
-    exit_code = EXIT_SCHEMA

@@ -3,18 +3,15 @@
 The pipeline consumes one processed long-format CSV with columns
 subject_id, task, session, condition, rt_ms, accuracy (accuracy may be
 empty for pure-RT tasks). Raw archives are verified by SHA-256 before any
-row is read; turning an archive into the canonical CSV is a dataset-specific
-adapter registered in EXTRACTORS, deliberately kept out of the analysis
-path.
+row is read.
 """
 
 from __future__ import annotations
 
 import csv
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -268,31 +265,3 @@ def build_sample(
         n_pairs=sample.n,
     )
     return sample, evidence
-
-
-# Archive extraction adapters. Each adapter takes (archive_path, dest_csv)
-# and must write the canonical long CSV; "canonical_csv" is the passthrough
-# for archives that already ship the table.
-Extractor = Callable[[Path, Path], None]
-
-
-def _extract_canonical_csv(archive_path: Path, dest_csv: Path) -> None:
-    dest_csv.parent.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(archive_path, dest_csv)
-
-
-EXTRACTORS: dict[str, Extractor] = {
-    "canonical_csv": _extract_canonical_csv,
-}
-
-
-def extract_archive(
-    archive_path: str | Path, dest_csv: str | Path, adapter: str = "canonical_csv"
-) -> None:
-    try:
-        extractor = EXTRACTORS[adapter]
-    except KeyError:
-        raise IngestError(
-            f"no extractor {adapter!r}; known: {sorted(EXTRACTORS)}"
-        ) from None
-    extractor(Path(archive_path), Path(dest_csv))

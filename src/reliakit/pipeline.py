@@ -11,15 +11,23 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .errors import HashMismatchError, IngestError
 from .fixtures import ensure_smoke_workspace
 from .hashutil import sha256_file
 from .inference import apply_primary_inference
 from .ingest import build_sample, read_long_csv, verify_archive
-from .multiverse import DEFAULT_SPEC, MultiverseCell, build_grid, run_cell, summarize
+from .multiverse import (
+    DEFAULT_SPEC,
+    MultiverseCell,
+    Specification,
+    build_grid,
+    run_cell,
+    summarize,
+)
 from .outputs import (
     INGEST_EVIDENCE_JSON,
     MULTIVERSE_CSV,
@@ -92,7 +100,10 @@ def _input_key(path: Path, workspace: Path) -> str:
 
 
 def _prepare_inputs(config: RunConfig) -> tuple[dict[str, str], list[dict]]:
-    """Materialize (smoke) or verify (final) inputs; digest them either way."""
+    """Materialize (smoke) or verify (final) inputs; digest them either way.
+
+    Every input, the processed table included, is hashed exactly once here;
+    later steps read the digests from the returned mapping."""
     if config.mode == "smoke":
         ensure_smoke_workspace(config.workspace)
     digests: dict[str, str] = {}
@@ -113,7 +124,8 @@ def _prepare_inputs(config: RunConfig) -> tuple[dict[str, str], list[dict]]:
         expected_processed = manifest.get("processed/long.csv")
         if expected_processed is None:
             raise HashMismatchError("processed/long.csv is not pinned in the manifest")
-        verify_archive(config.processed_path, expected_processed)
+        processed = verify_archive(config.processed_path, expected_processed)
+        digests[PROCESSED_RELPATH] = processed.observed_sha256
         for rel in sorted(manifest):
             if not rel.startswith("raw/"):
                 continue
@@ -127,7 +139,8 @@ def _prepare_inputs(config: RunConfig) -> tuple[dict[str, str], list[dict]]:
                     "observed_sha256": evidence.observed_sha256,
                 }
             )
-    digests[PROCESSED_RELPATH] = sha256_file(config.processed_path)
+    else:
+        digests[PROCESSED_RELPATH] = sha256_file(config.processed_path)
     return digests, archives
 
 
@@ -150,7 +163,7 @@ def _load_samples(config: RunConfig, registry: ContractRegistry):
             "dropped_subjects": list(evidence.dropped_subjects),
             "n_pairs": evidence.n_pairs,
         }
-    return rows, samples, measures_evidence
+    return len(rows), samples, measures_evidence
 
 
 def _cell_task(args) -> MultiverseCell:
@@ -165,40 +178,34 @@ def _run_cells(tasks: list, workers: int) -> list[MultiverseCell]:
         return list(pool.map(_cell_task, tasks))
 
 
-def _write_evidence(
-    config: RunConfig, row_count: int, archives: list[dict], measures_evidence: dict
-) -> None:
+def _execute(
+    config: RunConfig,
+    specs: list[Specification],
+    write_results: Callable[[Path, list[MultiverseCell], ContractRegistry], dict],
+) -> dict:
+    """Shared body of run and multiverse: digest inputs, load the samples,
+    evaluate each (spec, measure) cell, then write the command's results,
+    the ingest evidence and, last, the provenance record."""
+    input_digests, archives = _prepare_inputs(config)
+    registry = load_contract(config.resolved_contract)
+    row_count, samples, measures_evidence = _load_samples(config, registry)
+    tasks = [
+        (spec, samples[entry.measure_id], config.base_seed, config.resolved_b)
+        for spec in specs
+        for entry in registry.primary_measures()
+    ]
+    cells = _run_cells(tasks, config.workers)
+    summary = write_results(config.out_dir, cells, registry)
     evidence = {
         "archives": archives,
         "processed": {
             "path": PROCESSED_RELPATH,
-            "sha256": sha256_file(config.processed_path),
+            "sha256": input_digests[PROCESSED_RELPATH],
             "row_count": row_count,
         },
         "measures": measures_evidence,
     }
     write_json(config.out_dir / INGEST_EVIDENCE_JSON, evidence)
-
-
-def cmd_run(config: RunConfig) -> dict:
-    """Primary pipeline: default specification over every primary measure."""
-    input_digests, archives = _prepare_inputs(config)
-    registry = load_contract(config.resolved_contract)
-    rows, samples, measures_evidence = _load_samples(config, registry)
-    tasks = [
-        (DEFAULT_SPEC, samples[entry.measure_id], config.base_seed, config.resolved_b)
-        for entry in registry.primary_measures()
-    ]
-    cells = _run_cells(tasks, config.workers)
-    estimates = [cell.estimate for cell in cells]
-    annotated, summary = apply_primary_inference(estimates, registry)
-    write_csv(
-        config.out_dir / PER_MEASURE_CSV,
-        PER_MEASURE_COLUMNS,
-        [per_measure_row(e) for e in annotated],
-    )
-    write_json(config.out_dir / SUMMARY_JSON, summary)
-    _write_evidence(config, len(rows), archives, measures_evidence)
     record = build_provenance(
         config.mode, config.base_seed, config.resolved_b, input_digests, config.out_dir
     )
@@ -206,46 +213,47 @@ def cmd_run(config: RunConfig) -> dict:
     return summary
 
 
-def cmd_multiverse(config: RunConfig) -> dict:
-    """Full 24-cell grid over every primary measure."""
-    input_digests, archives = _prepare_inputs(config)
-    registry = load_contract(config.resolved_contract)
-    rows, samples, measures_evidence = _load_samples(config, registry)
-    grid = build_grid()
-    tasks = [
-        (spec, samples[entry.measure_id], config.base_seed, config.resolved_b)
-        for spec in grid
-        for entry in registry.primary_measures()
-    ]
-    cells = _run_cells(tasks, config.workers)
+def _write_primary(
+    out_dir: Path, cells: list[MultiverseCell], registry: ContractRegistry
+) -> dict:
+    annotated, summary = apply_primary_inference([c.estimate for c in cells], registry)
     write_csv(
-        config.out_dir / MULTIVERSE_CSV,
+        out_dir / PER_MEASURE_CSV,
+        PER_MEASURE_COLUMNS,
+        [per_measure_row(e) for e in annotated],
+    )
+    write_json(out_dir / SUMMARY_JSON, summary)
+    return summary
+
+
+def _write_grid(
+    out_dir: Path, cells: list[MultiverseCell], registry: ContractRegistry
+) -> dict:
+    write_csv(
+        out_dir / MULTIVERSE_CSV,
         MULTIVERSE_COLUMNS,
         [multiverse_row(cell.spec, cell.estimate) for cell in cells],
     )
     summary = summarize(cells)
-    write_json(config.out_dir / MULTIVERSE_SUMMARY_JSON, summary)
-    _write_evidence(config, len(rows), archives, measures_evidence)
-    record = build_provenance(
-        config.mode, config.base_seed, config.resolved_b, input_digests, config.out_dir
-    )
-    emit_provenance(record, config.out_dir)
+    write_json(out_dir / MULTIVERSE_SUMMARY_JSON, summary)
     return summary
 
 
-def cmd_verify(
-    mode: str, workspace: str | Path, out_dir: str | Path, workers: int = 1
-) -> GateReport:
-    """Smoke: materialize fixtures, run both pipelines, then gate.
-    Final: gate an existing workspace/output pair, read-only."""
-    workspace = Path(workspace)
+def cmd_run(config: RunConfig) -> dict:
+    """Primary pipeline: default specification over every primary measure."""
+    return _execute(config, [DEFAULT_SPEC], _write_primary)
+
+
+def cmd_multiverse(config: RunConfig) -> dict:
+    """Full 24-cell grid over every primary measure."""
+    return _execute(config, build_grid(), _write_grid)
+
+
+def cmd_verify(mode: str, workspace: str | Path, out_dir: str | Path) -> GateReport:
+    """Gate an existing workspace/output pair without recomputing anything.
+    Read-only apart from the report, which is written to the output
+    directory; run `run` and `multiverse` first."""
     out_dir = Path(out_dir)
-    if mode == "smoke":
-        config = RunConfig(
-            mode="smoke", workspace=workspace, out_dir=out_dir, workers=workers
-        )
-        cmd_run(config)
-        cmd_multiverse(config)
-    report = run_gate(mode, workspace, out_dir)
+    report = run_gate(mode, Path(workspace), out_dir)
     write_gate_report(report, out_dir)
     return report

@@ -153,7 +153,16 @@ def test_cli_hash_mismatch_exits_3(tmp_path, capsys):
     assert "sha256" in capsys.readouterr().err
 
 
+def run_both(ws, out, *flags):
+    """`run` then `multiverse` in smoke mode, the outputs verify gates."""
+    for command in ("run", "multiverse"):
+        args = [command, "--mode", "smoke", "--workspace", str(ws), "--out", str(out)]
+        assert main(args + ["--bootstrap", "50", *flags]) == 0
+
+
 def test_cli_verify_smoke_passes(tmp_path, capsys):
+    run_both(tmp_path / "ws", tmp_path / "out")
+    capsys.readouterr()
     code = main(
         [
             "verify",
@@ -175,9 +184,21 @@ def test_cli_verify_smoke_passes(tmp_path, capsys):
     assert (tmp_path / "out" / "gate_report.json").is_file()
 
 
+def test_cli_verify_smoke_is_read_only(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    out = tmp_path / "out"
+    run_both(ws, out, "--seed", "7")
+    names = DIGESTED_OUTPUTS + (PROVENANCE_JSON,)
+    before = read_outputs(out, names)
+    assert main(["verify", "--mode", "smoke", "--workspace", str(ws), "--out", str(out)]) == 0
+    assert "seed 7, B 50" in capsys.readouterr().out
+    assert read_outputs(out, names) == before
+
+
 def test_cli_verify_tampered_gate_config_exits_4(tmp_path, capsys):
     ws = tmp_path / "ws"
     out = tmp_path / "out"
+    run_both(ws, out)
     assert main(["verify", "--mode", "smoke", "--workspace", str(ws), "--out", str(out)]) == 0
     capsys.readouterr()
     config_path = ws / "gate_config.json"
@@ -192,6 +213,7 @@ def test_cli_verify_tampered_gate_config_exits_4(tmp_path, capsys):
 def test_cli_verify_final_on_synthetic_exits_4(tmp_path, capsys):
     ws = tmp_path / "ws"
     out = tmp_path / "out"
+    run_both(ws, out)
     assert main(["verify", "--mode", "smoke", "--workspace", str(ws), "--out", str(out)]) == 0
     capsys.readouterr()
     code = main(["verify", "--mode", "final", "--workspace", str(ws), "--out", str(out)])

@@ -12,7 +12,7 @@ from reliakit import (
     read_long_csv,
     verify_archive,
 )
-from reliakit.ingest import TrialRow, build_sample, extract_archive
+from reliakit.ingest import TrialRow, build_sample
 from reliakit.registry import AggregationRecipe, MeasureContract, Tier
 
 # SHA-256 of zero bytes, a standard published constant
@@ -230,12 +230,3 @@ def test_build_sample_end_to_end():
     assert evidence.n_pairs == 3
     assert evidence.task == "stroop"
 
-
-def test_extract_archive_passthrough(tmp_path):
-    src = tmp_path / "archive.csv"
-    src.write_bytes(b"subject_id,task\n")
-    dest = tmp_path / "nested" / "long.csv"
-    extract_archive(src, dest)
-    assert dest.read_bytes() == src.read_bytes()
-    with pytest.raises(IngestError):
-        extract_archive(src, dest, adapter="unknown_format")

@@ -6,12 +6,17 @@ the implementation under test.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import digamma as scipy_digamma
 
 from reliakit import DegenerateSampleError, EstimatorError, ksg_mi
+from reliakit.estimators import _BRUTE_CHUNK, _ksg_counts_brute
 
 from conftest import gauss_pairs, make_sample
 
@@ -61,23 +66,45 @@ def test_matches_loop_oracle_on_random_samples():
             s = make_sample(x1, x2)
         else:
             s = gauss_pairs(rng, n, rho=float(rng.uniform(-0.8, 0.8)))
-        want = ksg_oracle(s.x1, s.x2, k)
-        for strategy in ("brute", "kdtree"):
-            assert ksg_mi(s, k=k, strategy=strategy) == pytest.approx(
-                want, abs=1e-12
-            )
+        assert ksg_mi(s, k=k) == pytest.approx(ksg_oracle(s.x1, s.x2, k), abs=1e-12)
         checked += 1
     assert checked == 25
 
 
-def test_brute_and_kdtree_agree_bitwise():
-    rng = np.random.default_rng(7)
-    for n in (10, 63, 256, 700):
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("n", [255, 256, 257, 600])
+def test_matches_loop_oracle_across_chunk_boundaries(n, ties):
+    assert _BRUTE_CHUNK == 256  # the sizes straddle one and two chunks
+    rng = np.random.default_rng(n)
+    if ties:
+        s = make_sample(rng.integers(0, 8, size=n), rng.integers(0, 8, size=n))
+    else:
         s = gauss_pairs(rng, n, rho=0.5)
-        for k in (2, 4, 6):
-            assert ksg_mi(s, k=k, strategy="brute") == ksg_mi(
-                s, k=k, strategy="kdtree"
-            )
+    assert ksg_mi(s, k=4) == pytest.approx(ksg_oracle(s.x1, s.x2, 4), abs=1e-12)
+
+
+def _full_matrix_counts(x, y, k):
+    """Unchunked reference: one n x n matrix, self excluded by a mask."""
+    dx = np.abs(x[:, None] - x[None, :])
+    dy = np.abs(y[:, None] - y[None, :])
+    others = ~np.eye(x.size, dtype=bool)
+    eps = np.sort(np.where(others, np.maximum(dx, dy), np.inf), axis=1)[:, k - 1]
+    nx = ((dx < eps[:, None]) & others).sum(axis=1)
+    ny = ((dy < eps[:, None]) & others).sum(axis=1)
+    return nx, ny
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 6), support=st.integers(0, 12))
+def test_chunked_counts_equal_full_matrix_on_tied_data(data, k, support):
+    n = data.draw(st.integers(k + 1, 600), label="n")
+    values = st.lists(st.integers(0, support), min_size=n, max_size=n)
+    x = np.array(data.draw(values, label="x"), dtype=np.float64)
+    y = np.array(data.draw(values, label="y"), dtype=np.float64)
+    nx, ny = _ksg_counts_brute(x, y, k)
+    want_x, want_y = _full_matrix_counts(x, y, k)
+    assert np.array_equal(nx, want_x)
+    assert np.array_equal(ny, want_y)
 
 
 def test_duplicate_ties_stay_finite_and_consistent():
@@ -85,10 +112,9 @@ def test_duplicate_ties_stay_finite_and_consistent():
     x1 = rng.integers(0, 3, size=40).astype(np.float64)
     x2 = rng.integers(0, 3, size=40).astype(np.float64)
     s = make_sample(x1, x2)
-    brute = ksg_mi(s, k=4, strategy="brute")
-    assert math.isfinite(brute)
-    assert brute == ksg_mi(s, k=4, strategy="kdtree")
-    assert brute == pytest.approx(ksg_oracle(x1, x2, 4), abs=1e-12)
+    value = ksg_mi(s, k=4)
+    assert math.isfinite(value)
+    assert value == pytest.approx(ksg_oracle(x1, x2, 4), abs=1e-12)
 
 
 def test_affine_invariance_power_of_two_is_exact():
@@ -147,12 +173,6 @@ def test_needs_more_points_than_k():
     assert math.isfinite(ksg_mi(make_sample(np.arange(5.0), np.arange(5.0)), k=4))
 
 
-def test_rejects_unknown_strategy():
-    s = gauss_pairs(np.random.default_rng(3), 20, rho=0.2)
-    with pytest.raises(ValueError):
-        ksg_mi(s, k=3, strategy="balltree")
-
-
 def test_rejects_nonfinite_scores():
     with pytest.raises(EstimatorError):
         ksg_mi(make_sample([1.0, 2.0, np.inf, 4.0], [1.0, 2.0, 3.0, 4.0]), k=2)
@@ -163,3 +183,11 @@ def test_constant_margin_still_runs():
     # is fine), it must simply not blow up
     s = make_sample([5.0] * 12, list(range(12)))
     assert math.isfinite(ksg_mi(s, k=3))
+
+
+def test_import_does_not_load_scipy_spatial():
+    code = "import sys, reliakit; print('scipy.spatial' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
