@@ -54,7 +54,7 @@ from .inference import (
 )
 from .ingest import (
     PairedSample,
-    TrialRow,
+    TrialTable,
     aggregate_scores,
     build_sample,
     filter_trials,
@@ -117,7 +117,7 @@ __all__ = [
     "bh_adjust",
     "headline_pass",
     "PairedSample",
-    "TrialRow",
+    "TrialTable",
     "aggregate_scores",
     "build_sample",
     "filter_trials",

@@ -115,17 +115,19 @@ def pearson(sample: PairedSample) -> float:
 
 
 def _midranks(v: np.ndarray) -> np.ndarray:
-    """Average ranks, ties sharing the mean of their rank range."""
+    """Average ranks, ties sharing the mean of their rank range.
+
+    A run of equal values at sorted positions i..j gets 0.5 * (i + j) + 1.0,
+    so every rank is exact."""
     order = np.argsort(v, kind="stable")
     sv = v[order]
+    edge = np.empty(v.size + 1, dtype=bool)  # where a run of equal values starts or ends
+    edge[0] = edge[-1] = True
+    np.not_equal(sv[1:], sv[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    start, end = bounds[:-1], bounds[1:] - 1
     ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
     return ranks
 
 

@@ -3,15 +3,19 @@
 The pipeline consumes one processed long-format CSV with columns
 subject_id, task, session, condition, rt_ms, accuracy (accuracy may be
 empty for pure-RT tasks). Raw archives are verified by SHA-256 before any
-row is read.
+row is read. The table is read once into numpy columns (a TrialTable), and
+each measure's sample is built from those columns.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -24,15 +28,36 @@ RT_MAX_MS = 5000.0
 
 LONG_CSV_COLUMNS = ("subject_id", "task", "session", "condition", "rt_ms", "accuracy")
 
+MISSING_ACCURACY = -1
+_CHUNK_ROWS = 16384
+
 
 @dataclass(frozen=True)
-class TrialRow:
-    subject_id: str
-    task: str
-    session: int
-    condition: str
-    rt_ms: float
-    accuracy: int | None
+class TrialTable:
+    """The processed long table as columns, one entry per trial in file order.
+
+    All columns are int32 except rt_ms (float64). subject, task and
+    condition hold codes into the sorted level tuples subjects, tasks and
+    conditions; session holds 1 or 2; accuracy holds 0, 1, or
+    MISSING_ACCURACY where the field was empty."""
+
+    subjects: tuple[str, ...]
+    tasks: tuple[str, ...]
+    conditions: tuple[str, ...]
+    subject: np.ndarray
+    task: np.ndarray
+    session: np.ndarray
+    condition: np.ndarray
+    rt_ms: np.ndarray
+    accuracy: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.rt_ms.size)
+
+
+def _code(levels: tuple[str, ...], name: str) -> int:
+    """The code of `name` among `levels`, or -1, which no row carries."""
+    return levels.index(name) if name in levels else -1
 
 
 @dataclass(frozen=True)
@@ -111,107 +136,223 @@ def verify_archive(path: str | Path, expected_sha256: str) -> ArchiveEvidence:
     )
 
 
-def read_long_csv(path: str | Path) -> list[TrialRow]:
-    """Parse the processed long table, validating every row."""
+def _check_row(row: list[str], where: str) -> None:
+    """The row-wise validator: raise the message for the first problem of
+    one record, checking parse, session, rt, accuracy, then identifiers."""
+    if len(row) != len(LONG_CSV_COLUMNS):
+        raise IngestError(
+            f"{where}: expected {len(LONG_CSV_COLUMNS)} fields, got {len(row)}"
+        )
+    subject_id, task, session_raw, condition, rt_raw, acc_raw = row
+    try:
+        session = int(session_raw)
+        rt = float(rt_raw)
+        accuracy = None if acc_raw == "" else int(acc_raw)
+    except ValueError as exc:
+        raise IngestError(f"{where}: bad row ({exc})") from None
+    if session not in (1, 2):
+        raise IngestError(f"{where}: session must be 1 or 2")
+    if not math.isfinite(rt) or rt < 0:
+        raise IngestError(f"{where}: rt_ms must be finite and >= 0")
+    if accuracy is not None and accuracy not in (0, 1):
+        raise IngestError(f"{where}: accuracy must be 0, 1, or empty")
+    if not subject_id or not task or not condition:
+        raise IngestError(f"{where}: empty identifier field")
+
+
+def _raise_first_bad_row(path: Path, skip: int) -> NoReturn:
+    """Re-read the table past its first `skip` records and raise the
+    row-wise validator's error for the first bad record, reporting the
+    physical line on which the record starts."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        deque(islice(reader, skip), maxlen=0)
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                _check_row(row, f"{path.name}:{start}")
+            start = reader.line_num + 1
+    raise AssertionError(f"{path.name}: a chunk failed validation but no row did")
+
+
+def _parse_identifier(text: str, next_code: int) -> int | None:
+    return next_code if text else None
+
+
+def _parse_session(text: str, next_code: int) -> int | None:
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value in (1, 2) else None
+
+
+def _parse_accuracy(text: str, next_code: int) -> int | None:
+    if text == "":
+        return MISSING_ACCURACY
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value in (0, 1) else None
+
+
+def _encode(
+    values: tuple[str, ...],
+    levels: dict[str, int],
+    parse: Callable[[str, int], int | None],
+) -> np.ndarray | None:
+    """Map each string to its code. An unseen string's code is
+    parse(string, len(levels)), and it joins `levels`; None when parse
+    refuses one of the strings."""
+    for text in dict.fromkeys(values):
+        if text not in levels:
+            code = parse(text, len(levels))
+            if code is None:
+                return None
+            levels[text] = code
+    return np.fromiter(map(levels.__getitem__, values), dtype=np.int32, count=len(values))
+
+
+def _parse_rt(values: tuple[str, ...]) -> np.ndarray | None:
+    """Python float() of each value; None unless all are finite and >= 0."""
+    try:
+        rt = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+    except ValueError:
+        return None
+    return rt if (np.isfinite(rt) & (rt >= 0)).all() else None
+
+
+# per column of LONG_CSV_COLUMNS: the parser of its distinct strings, or
+# None for rt_ms, which is parsed value by value
+_PARSERS = (_parse_identifier, _parse_identifier, _parse_session, _parse_identifier, None, _parse_accuracy)
+
+
+def _sorted_codes(codes: np.ndarray, levels: dict[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Re-code first-appearance codes as ranks in sorted() order."""
+    names = sorted(levels)
+    rank = np.empty(len(names), dtype=np.int32)
+    rank[[levels[name] for name in names]] = np.arange(len(names), dtype=np.int32)
+    return rank[codes], tuple(names)
+
+
+def read_long_csv(path: str | Path) -> TrialTable:
+    """Parse and validate the processed long table in one streaming pass.
+
+    Records are read in chunks of _CHUNK_ROWS, and each column of a chunk
+    is parsed and checked at once: identifiers, session and accuracy by
+    their distinct strings, rt_ms by Python float() per value. A chunk that
+    fails any check is re-read row by row, so the error names the first bad
+    record and its physical line. Blank lines are skipped; a record with
+    too few or too many fields is an error."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"processed table missing: {path}")
-    rows: list[TrialRow] = []
+    levels: list[dict[str, int]] = [{} for _ in LONG_CSV_COLUMNS]
+    columns = [[np.empty(0, np.float64 if parse is None else np.int32)] for parse in _PARSERS]
+    records = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != LONG_CSV_COLUMNS:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != LONG_CSV_COLUMNS:
             raise IngestError(
-                f"{path.name}: expected header {','.join(LONG_CSV_COLUMNS)}, "
-                f"got {reader.fieldnames}"
+                f"{path.name}: expected header {','.join(LONG_CSV_COLUMNS)}, got {header}"
             )
-        for lineno, raw in enumerate(reader, start=2):
-            try:
-                session = int(raw["session"])
-                rt = float(raw["rt_ms"])
-                acc_raw = raw["accuracy"]
-                accuracy = None if acc_raw in ("", None) else int(acc_raw)
-            except (TypeError, ValueError) as exc:
-                raise IngestError(f"{path.name}:{lineno}: bad row ({exc})") from None
-            if session not in (1, 2):
-                raise IngestError(f"{path.name}:{lineno}: session must be 1 or 2")
-            if not np.isfinite(rt) or rt < 0:
-                raise IngestError(f"{path.name}:{lineno}: rt_ms must be finite and >= 0")
-            if accuracy is not None and accuracy not in (0, 1):
-                raise IngestError(f"{path.name}:{lineno}: accuracy must be 0, 1, or empty")
-            if not raw["subject_id"] or not raw["task"] or not raw["condition"]:
-                raise IngestError(f"{path.name}:{lineno}: empty identifier field")
-            rows.append(
-                TrialRow(
-                    subject_id=raw["subject_id"],
-                    task=raw["task"],
-                    session=session,
-                    condition=raw["condition"],
-                    rt_ms=rt,
-                    accuracy=accuracy,
-                )
-            )
-    return rows
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            skip, records = records, records + len(chunk)
+            widths = set(map(len, chunk))
+            if 0 in widths:
+                widths.discard(0)
+                chunk = [row for row in chunk if row]
+            if not chunk:
+                continue
+            if widths != {len(LONG_CSV_COLUMNS)}:
+                _raise_first_bad_row(path, skip)
+            parts = [
+                _parse_rt(values) if parse is None else _encode(values, seen, parse)
+                for values, seen, parse in zip(zip(*chunk), levels, _PARSERS)
+            ]
+            if any(part is None for part in parts):
+                _raise_first_bad_row(path, skip)
+            for column, part in zip(columns, parts):
+                column.append(part)
+    subject, task, session, condition, rt_ms, accuracy = map(np.concatenate, columns)
+    subject_levels, task_levels, _, condition_levels, _, _ = levels
+    subject, subjects = _sorted_codes(subject, subject_levels)
+    task, tasks = _sorted_codes(task, task_levels)
+    condition, conditions = _sorted_codes(condition, condition_levels)
+    return TrialTable(
+        subjects=subjects,
+        tasks=tasks,
+        conditions=conditions,
+        subject=subject,
+        task=task,
+        session=session,
+        condition=condition,
+        rt_ms=rt_ms,
+        accuracy=accuracy,
+    )
 
 
 def filter_trials(
-    rows: Iterable[TrialRow],
+    rt_ms: np.ndarray,
     min_ms: float = RT_MIN_MS,
     max_ms: float = RT_MAX_MS,
-) -> tuple[list[TrialRow], FilterCounts]:
-    """Drop implausibly fast/slow trials; rows exactly at a bound stay."""
-    kept: list[TrialRow] = []
-    below = above = 0
-    for row in rows:
-        if row.rt_ms < min_ms:
-            below += 1
-        elif row.rt_ms > max_ms:
-            above += 1
-        else:
-            kept.append(row)
-    return kept, FilterCounts(below_min=below, above_max=above, kept=len(kept))
+) -> tuple[np.ndarray, FilterCounts]:
+    """Mask of the trials to keep, dropping implausibly fast/slow ones;
+    trials exactly at a bound stay."""
+    below = rt_ms < min_ms
+    above = ~below & (rt_ms > max_ms)
+    keep = ~(below | above)
+    return keep, FilterCounts(
+        below_min=int(below.sum()), above_max=int(above.sum()), kept=int(keep.sum())
+    )
 
 
-def _cell_score(rows: list[TrialRow], condition: str, recipe: AggregationRecipe) -> float | None:
-    cell = [r for r in rows if r.condition == condition]
-    if not cell:
+def _cell_score(values: np.ndarray, condition: str, recipe: AggregationRecipe) -> float | None:
+    if values.size == 0:
         return None
-    if recipe.unit == "ms":
-        return float(np.mean([r.rt_ms for r in cell]))
-    accs = [r.accuracy for r in cell]
-    if any(a is None for a in accs):
+    if recipe.unit != "ms" and (values == MISSING_ACCURACY).any():
         raise IngestError(
             "accuracy outcome requested but accuracy column is empty "
             f"for condition {condition!r}"
         )
-    return float(np.mean(accs))
+    return float(np.mean(values))
 
 
 def aggregate_scores(
-    rows: list[TrialRow], recipe: AggregationRecipe
+    table: TrialTable, rows: np.ndarray, recipe: AggregationRecipe
 ) -> tuple[dict[tuple[str, int], float], list[str]]:
-    """One score per (subject, session); cells with no trials are recorded
-    and excluded rather than scored."""
-    grouped: dict[tuple[str, int], list[TrialRow]] = {}
-    for row in rows:
-        grouped.setdefault((row.subject_id, row.session), []).append(row)
+    """One score per (subject, session) over the table rows `rows` (indices
+    in file order); cells with no trials are recorded and excluded rather
+    than scored.
+
+    Rows are grouped by a stable argsort on (subject, session), so each
+    cell mean runs over its trials in file order."""
+    key = table.subject[rows].astype(np.int64) * 2 + (table.session[rows] - 1)
+    order = np.argsort(key, kind="stable")
+    rows, key = rows[order], key[order]
+    bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))  # cell edges
+    values = table.rt_ms[rows] if recipe.unit == "ms" else table.accuracy[rows]
+    condition = table.condition[rows]
+    wanted = [recipe.condition_a]
+    if recipe.outcome == "condition_contrast":
+        wanted.append(recipe.condition_b)
+    codes = [_code(table.conditions, name) for name in wanted]
     scores: dict[tuple[str, int], float] = {}
     zero_cells: list[str] = []
-    for key in sorted(grouped):
-        subject, session = key
-        cell_rows = grouped[key]
-        a = _cell_score(cell_rows, recipe.condition_a, recipe)
-        if recipe.outcome == "condition_contrast":
-            b = _cell_score(cell_rows, recipe.condition_b, recipe)
-            if a is None or b is None:
-                missing = recipe.condition_a if a is None else recipe.condition_b
-                zero_cells.append(f"{subject}/s{session}/{missing}")
-                continue
-            scores[key] = a - b
-        else:
-            if a is None:
-                zero_cells.append(f"{subject}/s{session}/{recipe.condition_a}")
-                continue
-            scores[key] = a
+    for lo, hi, cell_key in zip(bounds[:-1], bounds[1:], key[bounds[:-1]].tolist()):
+        subject, session = table.subjects[cell_key // 2], cell_key % 2 + 1
+        cell = [
+            _cell_score(values[lo:hi][condition[lo:hi] == code], name, recipe)
+            for name, code in zip(wanted, codes)
+        ]
+        missing = [name for name, score in zip(wanted, cell) if score is None]
+        if missing:
+            zero_cells.append(f"{subject}/s{session}/{missing[0]}")
+            continue
+        scores[(subject, session)] = cell[0] - cell[1] if len(cell) == 2 else cell[0]
     return scores, zero_cells
 
 
@@ -247,18 +388,18 @@ def pair_sessions(
 
 
 def build_sample(
-    rows: list[TrialRow], contract: MeasureContract
+    table: TrialTable, contract: MeasureContract
 ) -> tuple[PairedSample, MeasureEvidence]:
     """Full ingest path for one measure: select task rows, filter trials,
     aggregate, pair sessions."""
-    task_rows = [r for r in rows if r.task == contract.task]
-    kept, counts = filter_trials(task_rows)
-    scores, zero_cells = aggregate_scores(kept, contract.aggregation)
+    task_rows = np.flatnonzero(table.task == _code(table.tasks, contract.task))
+    keep, counts = filter_trials(table.rt_ms[task_rows])
+    scores, zero_cells = aggregate_scores(table, task_rows[keep], contract.aggregation)
     sample, dropped = pair_sessions(scores, contract.measure_id)
     evidence = MeasureEvidence(
         measure_id=contract.measure_id,
         task=contract.task,
-        row_count=len(task_rows),
+        row_count=int(task_rows.size),
         filter_counts=counts,
         zero_trial_cells=tuple(zero_cells),
         dropped_subjects=tuple(dropped),

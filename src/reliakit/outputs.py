@@ -35,6 +35,12 @@ DIGESTED_OUTPUTS = (
     INGEST_EVIDENCE_JSON,
 )
 
+# the digested outputs each command writes
+COMMAND_OUTPUTS = {
+    "run": (PER_MEASURE_CSV, SUMMARY_JSON, INGEST_EVIDENCE_JSON),
+    "multiverse": (MULTIVERSE_CSV, MULTIVERSE_SUMMARY_JSON, INGEST_EVIDENCE_JSON),
+}
+
 PER_MEASURE_COLUMNS = (
     "measure_id",
     "n",
@@ -87,13 +93,13 @@ MULTIVERSE_SUMMARY_KEYS = ("grand", "by_k", "by_corr", "by_n_min")
 
 PROVENANCE_KEYS = (
     "run_mode",
-    "base_seed",
-    "bootstrap_b",
     "toolchain_versions",
     "input_digests",
-    "output_digests",
+    "outputs",
     "timestamp",
 )
+
+PROVENANCE_OUTPUT_KEYS = ("sha256", "command", "base_seed", "bootstrap_b")
 
 _SPEC_ID_RE = re.compile(r"^k(\d+)_(pearson|spearman)_nmin(\d+)$")
 
@@ -345,16 +351,29 @@ def validate_provenance_json(path: Path) -> dict:
     _require_keys(doc, PROVENANCE_KEYS, path.name)
     if doc["run_mode"] not in ("smoke", "final"):
         raise SchemaError(f"{path.name}: bad run_mode {doc['run_mode']!r}")
-    if not isinstance(doc["base_seed"], int):
-        raise SchemaError(f"{path.name}: base_seed must be an integer")
-    if not isinstance(doc["bootstrap_b"], int) or doc["bootstrap_b"] < 1:
-        raise SchemaError(f"{path.name}: bootstrap_b must be a positive integer")
-    for key in ("toolchain_versions", "input_digests", "output_digests"):
+    for key in ("toolchain_versions", "input_digests"):
         block = doc[key]
         if not isinstance(block, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in block.items()
         ):
             raise SchemaError(f"{path.name}: {key} must map strings to strings")
+    if not isinstance(doc["outputs"], dict):
+        raise SchemaError(f"{path.name}: outputs must be an object")
+    for name, entry in doc["outputs"].items():
+        where = f"{path.name}:outputs:{name}"
+        if name not in DIGESTED_OUTPUTS:
+            raise SchemaError(f"{where}: not a digested output")
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where}: must be an object")
+        _require_keys(entry, PROVENANCE_OUTPUT_KEYS, where)
+        if not isinstance(entry["sha256"], str):
+            raise SchemaError(f"{where}: sha256 must be a string")
+        if entry["command"] not in COMMAND_OUTPUTS:
+            raise SchemaError(f"{where}: bad command {entry['command']!r}")
+        if not isinstance(entry["base_seed"], int):
+            raise SchemaError(f"{where}: base_seed must be an integer")
+        if not isinstance(entry["bootstrap_b"], int) or entry["bootstrap_b"] < 1:
+            raise SchemaError(f"{where}: bootstrap_b must be a positive integer")
     if not isinstance(doc["timestamp"], str) or "T" not in doc["timestamp"]:
         raise SchemaError(f"{path.name}: timestamp must be ISO-8601")
     return doc

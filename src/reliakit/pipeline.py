@@ -145,11 +145,11 @@ def _prepare_inputs(config: RunConfig) -> tuple[dict[str, str], list[dict]]:
 
 
 def _load_samples(config: RunConfig, registry: ContractRegistry):
-    rows = read_long_csv(config.processed_path)
+    table = read_long_csv(config.processed_path)
     samples = {}
     measures_evidence = {}
     for entry in registry.primary_measures():
-        sample, evidence = build_sample(rows, entry)
+        sample, evidence = build_sample(table, entry)
         samples[entry.measure_id] = sample
         measures_evidence[entry.measure_id] = {
             "task": evidence.task,
@@ -163,7 +163,7 @@ def _load_samples(config: RunConfig, registry: ContractRegistry):
             "dropped_subjects": list(evidence.dropped_subjects),
             "n_pairs": evidence.n_pairs,
         }
-    return len(rows), samples, measures_evidence
+    return len(table), samples, measures_evidence
 
 
 def _cell_task(args) -> MultiverseCell:
@@ -180,6 +180,7 @@ def _run_cells(tasks: list, workers: int) -> list[MultiverseCell]:
 
 def _execute(
     config: RunConfig,
+    command: str,
     specs: list[Specification],
     write_results: Callable[[Path, list[MultiverseCell], ContractRegistry], dict],
 ) -> dict:
@@ -207,7 +208,12 @@ def _execute(
     }
     write_json(config.out_dir / INGEST_EVIDENCE_JSON, evidence)
     record = build_provenance(
-        config.mode, config.base_seed, config.resolved_b, input_digests, config.out_dir
+        command,
+        config.mode,
+        config.base_seed,
+        config.resolved_b,
+        input_digests,
+        config.out_dir,
     )
     emit_provenance(record, config.out_dir)
     return summary
@@ -241,12 +247,12 @@ def _write_grid(
 
 def cmd_run(config: RunConfig) -> dict:
     """Primary pipeline: default specification over every primary measure."""
-    return _execute(config, [DEFAULT_SPEC], _write_primary)
+    return _execute(config, "run", [DEFAULT_SPEC], _write_primary)
 
 
 def cmd_multiverse(config: RunConfig) -> dict:
     """Full 24-cell grid over every primary measure."""
-    return _execute(config, build_grid(), _write_grid)
+    return _execute(config, "multiverse", build_grid(), _write_grid)
 
 
 def cmd_verify(mode: str, workspace: str | Path, out_dir: str | Path) -> GateReport:

@@ -13,7 +13,8 @@ The gate verifies a workspace/output pair without writing anything:
     R9  summary JSON schemas (run + multiverse)
     R10 provenance schema; recorded output digests match the files
     R11 toolchain versions recorded and matching the live environment
-    R12 run-config echo well-formed and consistent with the gate mode
+    R12 run-config echo consistent with the gate mode, and an entry (the
+        command, seed and B that wrote it) for every digested output present
     R13 raw archive digests match the manifest            (final only)
     R14 ingest evidence present with a consistent filter partition
                                                           (final only)
@@ -38,6 +39,7 @@ from . import __version__
 from .errors import ReliakitError, SchemaError
 from .hashutil import sha256_file
 from .outputs import (
+    COMMAND_OUTPUTS,
     DIGESTED_OUTPUTS,
     GATE_REPORT_JSON,
     INGEST_EVIDENCE_JSON,
@@ -83,46 +85,75 @@ def toolchain_versions() -> dict[str, str]:
 
 @dataclass(frozen=True)
 class ProvenanceRecord:
+    """What produced the output directory. `outputs` maps each digested
+    output present to its sha256 and the command, seed and B that wrote it;
+    run_mode, toolchain and input digests hold for every entry."""
+
     run_mode: str
-    base_seed: int
-    bootstrap_b: int
     toolchain_versions: dict[str, str]
     input_digests: dict[str, str]
-    output_digests: dict[str, str]
+    outputs: dict[str, dict]
     timestamp: str
 
     def to_dict(self) -> dict:
         return {
             "run_mode": self.run_mode,
-            "base_seed": self.base_seed,
-            "bootstrap_b": self.bootstrap_b,
             "toolchain_versions": dict(self.toolchain_versions),
             "input_digests": dict(self.input_digests),
-            "output_digests": dict(self.output_digests),
+            "outputs": {name: dict(entry) for name, entry in self.outputs.items()},
             "timestamp": self.timestamp,
         }
 
 
+def _earlier_outputs(out_dir: Path, run_mode: str, input_digests: dict[str, str]) -> dict[str, dict]:
+    """Output entries of the record already in out_dir, if it was made in the
+    same mode, from the same inputs and with the same toolchain; else none."""
+    try:
+        doc = validate_provenance_json(out_dir / PROVENANCE_JSON)
+    except (SchemaError, ValueError):
+        return {}
+    same = (
+        doc["run_mode"] == run_mode
+        and doc["input_digests"] == input_digests
+        and doc["toolchain_versions"] == toolchain_versions()
+    )
+    return doc["outputs"] if same else {}
+
+
 def build_provenance(
+    command: str,
     run_mode: str,
     base_seed: int,
     bootstrap_b: int,
     input_digests: dict[str, str],
     out_dir: Path,
 ) -> ProvenanceRecord:
-    """Digest every known output present in out_dir and assemble the record."""
-    output_digests: dict[str, str] = {}
+    """Digest the known outputs present in out_dir and assemble the record.
+
+    The outputs `command` just wrote are credited to it; any other output
+    keeps the entry of an earlier command only while its digest still
+    matches, and is left unrecorded otherwise, which fails gate check R12."""
+    earlier = _earlier_outputs(out_dir, run_mode, input_digests)
+    outputs: dict[str, dict] = {}
     for name in DIGESTED_OUTPUTS:
         path = out_dir / name
-        if path.is_file():
-            output_digests[name] = sha256_file(path)
+        if not path.is_file():
+            continue
+        digest = sha256_file(path)
+        if name in COMMAND_OUTPUTS[command]:
+            outputs[name] = {
+                "sha256": digest,
+                "command": command,
+                "base_seed": base_seed,
+                "bootstrap_b": bootstrap_b,
+            }
+        elif name in earlier and earlier[name]["sha256"] == digest:
+            outputs[name] = earlier[name]
     return ProvenanceRecord(
         run_mode=run_mode,
-        base_seed=base_seed,
-        bootstrap_b=bootstrap_b,
         toolchain_versions=toolchain_versions(),
         input_digests=dict(input_digests),
-        output_digests=output_digests,
+        outputs=outputs,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
 
@@ -293,14 +324,14 @@ def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
 
     def r10() -> str:
         doc = validate_provenance_json(out_dir / PROVENANCE_JSON)
-        for name, recorded in sorted(doc["output_digests"].items()):
+        for name, entry in sorted(doc["outputs"].items()):
             path = out_dir / name
             if not path.is_file():
                 raise SchemaError(f"{name}: digested output missing")
             observed = sha256_file(path)
-            if observed != recorded:
-                raise SchemaError(f"{name}: digest {observed} != recorded {recorded}")
-        return f"{len(doc['output_digests'])} output digests verified"
+            if observed != entry["sha256"]:
+                raise SchemaError(f"{name}: digest {observed} != recorded {entry['sha256']}")
+        return f"{len(doc['outputs'])} output digests verified"
 
     def r11() -> str:
         doc = validate_provenance_json(out_dir / PROVENANCE_JSON)
@@ -322,7 +353,18 @@ def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
             raise SchemaError(
                 f"run_mode {doc['run_mode']!r} inconsistent with gate mode {mode!r}"
             )
-        return f"run config echo consistent ({doc['run_mode']}, seed {doc['base_seed']}, B {doc['bootstrap_b']})"
+        unrecorded = [
+            name
+            for name in DIGESTED_OUTPUTS
+            if (out_dir / name).is_file() and name not in doc["outputs"]
+        ]
+        if unrecorded:
+            raise SchemaError(f"outputs with no provenance entry: {unrecorded}")
+        configs = sorted(
+            {(e["command"], e["base_seed"], e["bootstrap_b"]) for e in doc["outputs"].values()}
+        )
+        echo = "; ".join(f"{command}: seed {seed}, B {b}" for command, seed, b in configs)
+        return f"run config echo consistent ({doc['run_mode']}; {echo})"
 
     def r13() -> str:
         manifest = _load_hash_manifest(workspace)

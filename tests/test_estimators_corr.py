@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reliakit import (
     CorrMethod,
@@ -13,7 +15,7 @@ from reliakit import (
     pearson,
     spearman,
 )
-from reliakit.estimators import correlation
+from reliakit.estimators import _midranks, correlation
 
 from conftest import gauss_pairs, make_sample
 
@@ -80,6 +82,34 @@ def test_spearman_tie_case_frozen():
     # midranks [1,2,3] and [1.5,1.5,3]: correlation sqrt(3)/2
     s = make_sample([1.0, 2.0, 3.0], [1.0, 1.0, 2.0])
     assert spearman(s) == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-14)
+
+
+def loop_midranks(v):
+    """The tie-run loop _midranks replaced, kept as its oracle."""
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    ranks = np.empty(v.size, dtype=np.float64)
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.integers(-3, 3).map(float)
+        | st.sampled_from([0.0, -0.0, 1e300, -1e300, float("inf"), -float("inf"), float("nan")]),
+        max_size=300,
+    )
+)
+def test_midranks_equal_loop_version_on_tied_data(values):
+    v = np.array(values, dtype=np.float64)
+    assert np.array_equal(_midranks(v), loop_midranks(v))
 
 
 def test_spearman_equals_pearson_on_midranks():

@@ -1,7 +1,11 @@
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reliakit import (
     HashMismatchError,
@@ -12,21 +16,54 @@ from reliakit import (
     read_long_csv,
     verify_archive,
 )
-from reliakit.ingest import TrialRow, build_sample
+from reliakit import ingest
+from reliakit.ingest import (
+    LONG_CSV_COLUMNS,
+    MISSING_ACCURACY,
+    RT_MAX_MS,
+    RT_MIN_MS,
+    FilterCounts,
+    MeasureEvidence,
+    build_sample,
+)
 from reliakit.registry import AggregationRecipe, MeasureContract, Tier
 
 # SHA-256 of zero bytes, a standard published constant
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
+HEADER = ",".join(LONG_CSV_COLUMNS)
+
 
 def trial(subject, session, condition, rt, acc=1, task="stroop"):
-    return TrialRow(
-        subject_id=subject,
-        task=task,
-        session=session,
-        condition=condition,
-        rt_ms=rt,
-        accuracy=acc,
+    return (subject, task, session, condition, rt, acc)
+
+
+def write_long_csv(path, trials):
+    lines = [HEADER] + [
+        f"{s},{t},{session},{c},{rt!r},{'' if acc is None else acc}"
+        for s, t, session, c, rt, acc in trials
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def table_of(tmp_path, trials, name="long.csv"):
+    return read_long_csv(write_long_csv(tmp_path / name, trials))
+
+
+def all_rows(table):
+    return np.arange(len(table))
+
+
+def contract(measure_id, outcome, condition_a, condition_b=None, unit="ms", task="stroop"):
+    return MeasureContract(
+        measure_id=measure_id,
+        dataset_id=f"arch:{task}",
+        tier=Tier.PRIMARY,
+        aggregation=AggregationRecipe(
+            outcome=outcome, condition_a=condition_a, condition_b=condition_b, unit=unit
+        ),
+        description="",
     )
 
 
@@ -66,113 +103,270 @@ def test_read_long_csv_roundtrip(tmp_path):
         "s2,posner,1,cue,350.25,\n",
         encoding="utf-8",
     )
-    rows = read_long_csv(path)
-    assert len(rows) == 3
-    assert rows[0].rt_ms == 412.5
-    assert rows[1].accuracy == 0
-    assert rows[2].accuracy is None
-    assert rows[2].task == "posner"
+    table = read_long_csv(path)
+    assert len(table) == 3
+    assert table.rt_ms[0] == 412.5
+    assert table.accuracy[1] == 0
+    assert table.accuracy[2] == MISSING_ACCURACY
+    assert table.tasks[table.task[2]] == "posner"
+    assert table.subjects == ("s1", "s2")
+    assert table.session.tolist() == [1, 2, 1]
+    assert [table.conditions[c] for c in table.condition] == ["congruent", "congruent", "cue"]
+
+
+def test_read_long_csv_parses_like_python(tmp_path):
+    """rt_ms goes through float() and session/accuracy through int(), so
+    whatever those accept is accepted, with the same value."""
+    path = tmp_path / "long.csv"
+    path.write_text(
+        f"{HEADER}\n"
+        "s1,t,1,c, 400,1\n"
+        "s1,t, 2,c,1_000,0\n"
+        "s1,t,+1,c,4e2, 1\n"
+        "s1,t,01,c,0.1,\n",
+        encoding="utf-8",
+    )
+    table = read_long_csv(path)
+    assert table.rt_ms.tolist() == [float(" 400"), float("1_000"), float("4e2"), float("0.1")]
+    assert table.session.tolist() == [1, 2, 1, 1]
+    assert table.accuracy.tolist() == [1, 0, 1, MISSING_ACCURACY]
+
+
+def test_read_long_csv_orders_levels_with_sorted(tmp_path):
+    table = table_of(
+        tmp_path,
+        [trial(s, 1, "c", 400.0) for s in ("s10", "s2", "S1", "s1", "s2")],
+    )
+    assert table.subjects == ("S1", "s1", "s10", "s2")
+    assert [table.subjects[c] for c in table.subject] == ["s10", "s2", "S1", "s1", "s2"]
+
+
+def test_read_long_csv_empty_table(tmp_path):
+    table = table_of(tmp_path, [])
+    assert len(table) == 0
+    assert table.subjects == () and table.rt_ms.dtype == np.float64
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, message",
     [
-        "subject_id,task,session,condition,rt\ns1,t,1,c,400\n",  # wrong header
-        "subject_id,task,session,condition,rt_ms,accuracy\ns1,t,3,c,400,1\n",  # session
-        "subject_id,task,session,condition,rt_ms,accuracy\ns1,t,1,c,-5,1\n",  # rt < 0
-        "subject_id,task,session,condition,rt_ms,accuracy\ns1,t,1,c,nan,1\n",  # nonfinite
-        "subject_id,task,session,condition,rt_ms,accuracy\ns1,t,1,c,400,2\n",  # accuracy
-        "subject_id,task,session,condition,rt_ms,accuracy\n,t,1,c,400,1\n",  # empty id
+        (  # wrong header
+            "subject_id,task,session,condition,rt\ns1,t,1,c,400\n",
+            "long.csv: expected header subject_id,task,session,condition,rt_ms,accuracy, "
+            "got ['subject_id', 'task', 'session', 'condition', 'rt']",
+        ),
+        (f"{HEADER}\ns1,t,3,c,400,1\n", "long.csv:2: session must be 1 or 2"),
+        (f"{HEADER}\ns1,t,1,c,-5,1\n", "long.csv:2: rt_ms must be finite and >= 0"),
+        (f"{HEADER}\ns1,t,1,c,nan,1\n", "long.csv:2: rt_ms must be finite and >= 0"),
+        (f"{HEADER}\ns1,t,1,c,inf,1\n", "long.csv:2: rt_ms must be finite and >= 0"),
+        (f"{HEADER}\ns1,t,1,c,400,2\n", "long.csv:2: accuracy must be 0, 1, or empty"),
+        (f"{HEADER}\n,t,1,c,400,1\n", "long.csv:2: empty identifier field"),
+        (f"{HEADER}\ns1,,1,c,400,1\n", "long.csv:2: empty identifier field"),
+        (f"{HEADER}\ns1,t,1,,400,1\n", "long.csv:2: empty identifier field"),
+        (
+            f"{HEADER}\ns1,t,x,c,400,1\n",
+            "long.csv:2: bad row (invalid literal for int() with base 10: 'x')",
+        ),
+        (
+            f"{HEADER}\ns1,t,1,c,fast,1\n",
+            "long.csv:2: bad row (could not convert string to float: 'fast')",
+        ),
+        (
+            f"{HEADER}\ns1,t,1,c,400,yes\n",
+            "long.csv:2: bad row (invalid literal for int() with base 10: 'yes')",
+        ),
+        # ragged rows: too few and too many fields
+        (f"{HEADER}\ns1,t,1,c,400\n", "long.csv:2: expected 6 fields, got 5"),
+        (
+            f"{HEADER}\ns1,t,1,c,400,1\ns1,t,2,c,410,1,EXTRA\n",
+            "long.csv:3: expected 6 fields, got 7",
+        ),
+        (f"{HEADER}\ns1,t,1,c,400,1\n \n", "long.csv:3: expected 6 fields, got 1"),
+        # blank lines and a quoted two-line field before the bad row
+        (
+            f'{HEADER}\n\n\ns1,t,1,c,400,1\ns2,t,1,"two\nlines",400,1\ns3,t,3,c,400,1\n',
+            "long.csv:7: session must be 1 or 2",
+        ),
+        (f"{HEADER}\r\n\r\ns1,t,1,c,-1,1\r\n", "long.csv:3: rt_ms must be finite and >= 0"),
+        # a bad multi-line record is reported at the line where it starts
+        (f'{HEADER}\ns1,t,1,"two\nlines",400,7\n', "long.csv:2: accuracy must be 0, 1, or empty"),
+        # within a row: parse, then session, rt, accuracy, identifiers
+        (
+            f"{HEADER}\n,t,x,c,-5,2\n",
+            "long.csv:2: bad row (invalid literal for int() with base 10: 'x')",
+        ),
+        (f"{HEADER}\n,t,3,c,-5,2\n", "long.csv:2: session must be 1 or 2"),
+        (f"{HEADER}\n,t,1,c,-5,2\n", "long.csv:2: rt_ms must be finite and >= 0"),
+        (f"{HEADER}\n,t,1,c,5,2\n", "long.csv:2: accuracy must be 0, 1, or empty"),
+        # across rows: the first bad row in file order wins
+        (
+            f"{HEADER}\ns1,t,1,c,400,1\n,t,1,c,400,1\ns1,t,1,c,abc,1\ns1,t,9,c,400,1\n",
+            "long.csv:3: empty identifier field",
+        ),
     ],
 )
-def test_read_long_csv_rejects_bad_rows(tmp_path, body):
+def test_read_long_csv_rejects_bad_rows(tmp_path, body, message):
     path = tmp_path / "long.csv"
     path.write_text(body, encoding="utf-8")
-    with pytest.raises(IngestError):
+    with pytest.raises(IngestError) as err:
         read_long_csv(path)
+    assert str(err.value) == message
+
+
+def test_read_long_csv_missing_file(tmp_path):
+    with pytest.raises(IngestError, match="processed table missing"):
+        read_long_csv(tmp_path / "nope.csv")
+
+
+@pytest.mark.parametrize("bad_line", [2, 3, 4, 5, 9, 10, 13])
+def test_read_long_csv_line_numbers_across_chunks(tmp_path, monkeypatch, bad_line):
+    """Chunks of three records, blank lines among them: the error still
+    names the physical line of the first bad row."""
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 3)
+    lines = [HEADER]
+    for lineno in range(2, 15):
+        if lineno == bad_line:
+            lines.append("s1,t,1,c,400,9")
+        elif lineno % 4 == 0:
+            lines.append("")
+        else:
+            lines.append("s1,t,1,c,400,1")
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IngestError) as err:
+        read_long_csv(path)
+    assert str(err.value) == f"long.csv:{bad_line}: accuracy must be 0, 1, or empty"
+
+
+def test_read_long_csv_chunking_does_not_change_the_table(tmp_path, monkeypatch):
+    trials = [
+        trial(f"s{i % 7}", 1 + i % 2, "ab"[i % 3 == 0], 150.0 + 37.5 * i, (None, 0, 1)[i % 3])
+        for i in range(50)
+    ]
+    path = write_long_csv(tmp_path / "long.csv", trials)
+    whole = read_long_csv(path)
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
+    chunked = read_long_csv(path)
+    for name in ("subject", "task", "session", "condition", "rt_ms", "accuracy"):
+        assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
+    assert (whole.subjects, whole.tasks, whole.conditions) == (
+        chunked.subjects,
+        chunked.tasks,
+        chunked.conditions,
+    )
 
 
 def test_filter_boundaries_are_retained():
-    rows = [trial("s1", 1, "c", rt) for rt in (150.0, 199.99, 200.0, 450.0, 5000.0, 5000.01, 5500.0)]
-    kept, counts = filter_trials(rows)
-    assert [r.rt_ms for r in kept] == [200.0, 450.0, 5000.0]
+    rt = np.array([150.0, 199.99, 200.0, 450.0, 5000.0, 5000.01, 5500.0])
+    keep, counts = filter_trials(rt)
+    assert rt[keep].tolist() == [200.0, 450.0, 5000.0]
     assert counts.below_min == 2
     assert counts.above_max == 2
     assert counts.kept == 3
-    assert counts.total == len(rows)
+    assert counts.total == rt.size
 
 
 def test_filter_partition_property():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        rows = [trial("s", 1, "c", float(rt)) for rt in rng.uniform(0, 6000, size=40)]
-        kept, counts = filter_trials(rows)
-        assert counts.kept == len(kept)
-        assert counts.total == len(rows)
+        rt = rng.uniform(0, 6000, size=40)
+        keep, counts = filter_trials(rt)
+        assert counts.kept == int(keep.sum())
+        assert counts.total == rt.size
 
 
 def test_filter_empty_input():
-    kept, counts = filter_trials([])
-    assert kept == [] and counts.total == 0
+    keep, counts = filter_trials(np.empty(0))
+    assert keep.size == 0 and counts.total == 0
 
 
-def test_aggregate_mean_rt():
+def test_aggregate_mean_rt(tmp_path):
     recipe = AggregationRecipe(outcome="mean_rt", condition_a="c", condition_b=None, unit="ms")
-    rows = [trial("s1", 1, "c", 400.0), trial("s1", 1, "c", 600.0), trial("s1", 1, "x", 999.0)]
-    scores, zero = aggregate_scores(rows, recipe)
+    table = table_of(
+        tmp_path, [trial("s1", 1, "c", 400.0), trial("s1", 1, "c", 600.0), trial("s1", 1, "x", 999.0)]
+    )
+    scores, zero = aggregate_scores(table, all_rows(table), recipe)
     assert scores == {("s1", 1): 500.0}
     assert zero == []
 
 
-def test_aggregate_contrast():
+def test_aggregate_contrast(tmp_path):
     recipe = AggregationRecipe(
         outcome="condition_contrast", condition_a="incongruent", condition_b="congruent", unit="ms"
     )
-    rows = [
-        trial("s1", 1, "incongruent", 540.0),
-        trial("s1", 1, "incongruent", 560.0),
-        trial("s1", 1, "congruent", 480.0),
-        trial("s1", 1, "congruent", 520.0),
-    ]
-    scores, _ = aggregate_scores(rows, recipe)
+    table = table_of(
+        tmp_path,
+        [
+            trial("s1", 1, "incongruent", 540.0),
+            trial("s1", 1, "incongruent", 560.0),
+            trial("s1", 1, "congruent", 480.0),
+            trial("s1", 1, "congruent", 520.0),
+        ],
+    )
+    scores, _ = aggregate_scores(table, all_rows(table), recipe)
     assert scores[("s1", 1)] == 50.0
 
 
-def test_aggregate_accuracy_proportion():
+def test_aggregate_accuracy_proportion(tmp_path):
     recipe = AggregationRecipe(
         outcome="accuracy_proportion", condition_a="c", condition_b=None, unit="proportion"
     )
-    rows = [trial("s1", 1, "c", 400.0, acc=a) for a in (1, 1, 0, 1)]
-    scores, _ = aggregate_scores(rows, recipe)
+    table = table_of(tmp_path, [trial("s1", 1, "c", 400.0, acc=a) for a in (1, 1, 0, 1)])
+    scores, _ = aggregate_scores(table, all_rows(table), recipe)
     assert scores[("s1", 1)] == 0.75
 
 
-def test_aggregate_zero_trial_cell_recorded():
+def test_aggregate_zero_trial_cell_recorded(tmp_path):
     recipe = AggregationRecipe(
         outcome="condition_contrast", condition_a="incongruent", condition_b="congruent", unit="ms"
     )
-    rows = [trial("s1", 1, "congruent", 480.0), trial("s1", 2, "congruent", 500.0),
-            trial("s1", 2, "incongruent", 550.0)]
-    scores, zero = aggregate_scores(rows, recipe)
+    table = table_of(
+        tmp_path,
+        [
+            trial("s1", 1, "congruent", 480.0),
+            trial("s1", 2, "congruent", 500.0),
+            trial("s1", 2, "incongruent", 550.0),
+        ],
+    )
+    scores, zero = aggregate_scores(table, all_rows(table), recipe)
     assert ("s1", 1) not in scores
     assert ("s1", 2) in scores
     assert zero == ["s1/s1/incongruent"]
 
 
-def test_aggregate_missing_accuracy_errors():
+def test_aggregate_missing_accuracy_errors(tmp_path):
     recipe = AggregationRecipe(
         outcome="accuracy_proportion", condition_a="c", condition_b=None, unit="proportion"
     )
-    rows = [trial("s1", 1, "c", 400.0, acc=None)]
-    with pytest.raises(IngestError):
-        aggregate_scores(rows, recipe)
+    table = table_of(tmp_path, [trial("s1", 1, "c", 400.0, acc=None)])
+    with pytest.raises(IngestError) as err:
+        aggregate_scores(table, all_rows(table), recipe)
+    assert str(err.value) == (
+        "accuracy outcome requested but accuracy column is empty for condition 'c'"
+    )
 
 
-def test_aggregate_is_trial_order_invariant():
+def test_empty_accuracy_only_fails_when_a_proportion_is_scored(tmp_path):
+    table = table_of(
+        tmp_path,
+        [trial("s1", session, c, 400.0 + session, acc=None) for session in (1, 2) for c in "ab"],
+    )
+    sample, _ = build_sample(table, contract("rt", "condition_contrast", "a", "b"))
+    assert sample.n == 1
+    # a proportion over a condition with no trials scores nothing, so no error
+    _, evidence = build_sample(table, contract("acc", "accuracy_proportion", "z", unit="proportion"))
+    assert evidence.zero_trial_cells == ("s1/s1/z", "s1/s2/z")
+    with pytest.raises(IngestError, match="for condition 'b'"):
+        build_sample(table, contract("acc", "condition_contrast", "z", "b", unit="proportion"))
+
+
+def test_aggregate_is_trial_order_invariant(tmp_path):
     recipe = AggregationRecipe(outcome="mean_rt", condition_a="c", condition_b=None, unit="ms")
-    rows = [trial("s1", 1, "c", rt) for rt in (410.0, 390.0, 455.0, 505.0)]
-    forward, _ = aggregate_scores(rows, recipe)
-    backward, _ = aggregate_scores(rows[::-1], recipe)
+    trials = [trial("s1", 1, "c", rt) for rt in (410.0, 390.0, 455.0, 505.0)]
+    forward_table = table_of(tmp_path, trials, "forward.csv")
+    backward_table = table_of(tmp_path, trials[::-1], "backward.csv")
+    forward, _ = aggregate_scores(forward_table, all_rows(forward_table), recipe)
+    backward, _ = aggregate_scores(backward_table, all_rows(backward_table), recipe)
     assert forward == backward
 
 
@@ -206,23 +400,15 @@ def test_pair_sessions_drops_nonfinite():
     assert dropped == ["A"]
 
 
-def test_build_sample_end_to_end():
-    contract = MeasureContract(
-        measure_id="stroop_meanrt",
-        dataset_id="arch:stroop",
-        tier=Tier.PRIMARY,
-        aggregation=AggregationRecipe(
-            outcome="mean_rt", condition_a="c", condition_b=None, unit="ms"
-        ),
-        description="",
-    )
-    rows = []
+def test_build_sample_end_to_end(tmp_path):
+    trials = []
     for subject in ("s1", "s2", "s3"):
         for session in (1, 2):
-            rows.append(trial(subject, session, "c", 400.0 + 10 * session))
-            rows.append(trial(subject, session, "c", 150.0))  # filtered out
-    rows.append(trial("zzz", 1, "c", 400.0, task="other"))
-    sample, evidence = build_sample(rows, contract)
+            trials.append(trial(subject, session, "c", 400.0 + 10 * session))
+            trials.append(trial(subject, session, "c", 150.0))  # filtered out
+    trials.append(trial("zzz", 1, "c", 400.0, task="other"))
+    table = table_of(tmp_path, trials)
+    sample, evidence = build_sample(table, contract("stroop_meanrt", "mean_rt", "c"))
     assert sample.n == 3
     assert evidence.row_count == 12
     assert evidence.filter_counts.below_min == 6
@@ -230,3 +416,136 @@ def test_build_sample_end_to_end():
     assert evidence.n_pairs == 3
     assert evidence.task == "stroop"
 
+
+def test_build_sample_unknown_task_is_empty(tmp_path):
+    table = table_of(tmp_path, [trial("s1", 1, "c", 400.0)])
+    sample, evidence = build_sample(table, contract("m", "mean_rt", "c", task="absent"))
+    assert sample.n == 0
+    assert evidence.row_count == 0 and evidence.filter_counts.total == 0
+
+
+# ---------------------------------------------------------------------------
+# build_sample against the row-wise algorithm it replaced
+
+
+def reference_sample(trials, contract):
+    """One row at a time: select the task, filter, group (subject, session)
+    in file order, average each condition cell with np.mean over a list,
+    then pair sessions."""
+    recipe = contract.aggregation
+    task_rows = [t for t in trials if t[1] == contract.task]
+    kept = []
+    below = above = 0
+    for row in task_rows:
+        if row[4] < RT_MIN_MS:
+            below += 1
+        elif row[4] > RT_MAX_MS:
+            above += 1
+        else:
+            kept.append(row)
+    grouped = {}
+    for row in kept:
+        grouped.setdefault((row[0], row[2]), []).append(row)
+
+    def cell_score(rows, condition):
+        cell = [r for r in rows if r[3] == condition]
+        if not cell:
+            return None
+        if recipe.unit == "ms":
+            return float(np.mean([r[4] for r in cell]))
+        accs = [r[5] for r in cell]
+        if any(a is None for a in accs):
+            raise IngestError(
+                "accuracy outcome requested but accuracy column is empty "
+                f"for condition {condition!r}"
+            )
+        return float(np.mean(accs))
+
+    scores = {}
+    zero_cells = []
+    for key in sorted(grouped):
+        subject, session = key
+        a = cell_score(grouped[key], recipe.condition_a)
+        if recipe.outcome == "condition_contrast":
+            b = cell_score(grouped[key], recipe.condition_b)
+            if a is None or b is None:
+                missing = recipe.condition_a if a is None else recipe.condition_b
+                zero_cells.append(f"{subject}/s{session}/{missing}")
+                continue
+            scores[key] = a - b
+        else:
+            if a is None:
+                zero_cells.append(f"{subject}/s{session}/{recipe.condition_a}")
+                continue
+            scores[key] = a
+    sample, dropped = pair_sessions(scores, contract.measure_id)
+    evidence = MeasureEvidence(
+        measure_id=contract.measure_id,
+        task=contract.task,
+        row_count=len(task_rows),
+        filter_counts=FilterCounts(below_min=below, above_max=above, kept=len(kept)),
+        zero_trial_cells=tuple(zero_cells),
+        dropped_subjects=tuple(dropped),
+        n_pairs=sample.n,
+    )
+    return sample, evidence
+
+
+PROPERTY_CONTRACTS = [
+    contract("mean_a", "mean_rt", "a"),
+    contract("contrast_ab", "condition_contrast", "a", "b"),
+    contract("contrast_ca", "condition_contrast", "c", "a"),
+    contract("acc_b", "accuracy_proportion", "b", unit="proportion"),
+    contract("acc_contrast_ba", "condition_contrast", "b", "a", unit="proportion"),
+    contract("acc_mean_c", "mean_rt", "c", unit="proportion"),
+    contract("flanker_mean", "mean_rt", "a", task="flanker"),
+    contract("absent_condition", "mean_rt", "zz"),
+]
+
+# bounds, just inside and outside them, repeated values for tied scores, and
+# values with full mantissas, whose sums depend on the order of addition
+RT_VALUES = st.one_of(
+    st.sampled_from(
+        [0.0, 150.0, 199.99, 200.0, 200.0, 450.0, 450.0, 612.5, 5000.0, 5000.0, 5000.01, 7000.0]
+    ),
+    st.integers(0, 6_000_000).map(lambda k: k / 997.0),
+    st.floats(0.0, 6000.0, allow_nan=False),
+)
+
+
+@st.composite
+def trial_tables(draw):
+    """Long tables with few subjects, so cells hold many trials, and with
+    empty accuracy fields in about half of them."""
+    subjects = draw(st.lists(st.sampled_from(["s1", "s2", "s10", "S3", "s4"]), min_size=1, unique=True))
+    accuracy = st.sampled_from([0, 1, None] if draw(st.booleans()) else [0, 1])
+    row = st.tuples(
+        st.sampled_from(subjects),
+        st.sampled_from(["stroop", "stroop", "flanker"]),
+        st.sampled_from([1, 2]),
+        st.sampled_from(["a", "b", "c"]),
+        RT_VALUES,
+        accuracy,
+    )
+    n = draw(st.integers(0, 200), label="rows")
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trials=trial_tables())
+def test_build_sample_matches_rowwise_reference(trials):
+    with tempfile.TemporaryDirectory() as tmp:
+        table = read_long_csv(write_long_csv(Path(tmp) / "long.csv", trials))
+    for measure in PROPERTY_CONTRACTS:
+        try:
+            expected = reference_sample(trials, measure)
+        except IngestError as exc:
+            with pytest.raises(IngestError) as err:
+                build_sample(table, measure)
+            assert str(err.value) == str(exc)
+            continue
+        sample, evidence = build_sample(table, measure)
+        assert sample.x1.tobytes() == expected[0].x1.tobytes()
+        assert sample.x2.tobytes() == expected[0].x2.tobytes()
+        assert sample.subjects == expected[0].subjects
+        assert evidence == expected[1]

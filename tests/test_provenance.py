@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 
 from reliakit import RunConfig, cmd_multiverse, cmd_run
+from reliakit.cli import main
 from reliakit.outputs import (
+    COMMAND_OUTPUTS,
     DIGESTED_OUTPUTS,
     GATE_REPORT_JSON,
+    INGEST_EVIDENCE_JSON,
+    MULTIVERSE_CSV,
     MULTIVERSE_SUMMARY_JSON,
     PER_MEASURE_CSV,
     PROVENANCE_JSON,
+    SUMMARY_JSON,
     canonical_json,
     fmt_float,
     render_cell,
@@ -81,8 +86,8 @@ def test_render_cell_conventions():
 
 
 def test_build_provenance_empty_dir(tmp_path):
-    record = build_provenance("smoke", 1, 10, {}, tmp_path)
-    assert record.output_digests == {}
+    record = build_provenance("run", "smoke", 1, 10, {}, tmp_path)
+    assert record.outputs == {}
     assert record.run_mode == "smoke"
     assert set(record.toolchain_versions) == {"python", "numpy", "scipy", "reliakit"}
 
@@ -90,19 +95,90 @@ def test_build_provenance_empty_dir(tmp_path):
 def test_build_provenance_ignores_unknown_files(smoke_run, tmp_path):
     ws, out = copy_run(smoke_run, tmp_path)
     (out / "scratch.txt").write_text("not an output\n", encoding="utf-8")
-    record = build_provenance("smoke", 42, 60, {}, out)
-    assert set(record.output_digests) == set(DIGESTED_OUTPUTS)
-    assert PROVENANCE_JSON not in record.output_digests
-    assert GATE_REPORT_JSON not in record.output_digests
+    inputs = validate_provenance_json(out / PROVENANCE_JSON)["input_digests"]
+    record = build_provenance("multiverse", "smoke", 42, 60, inputs, out)
+    assert set(record.outputs) == set(DIGESTED_OUTPUTS)
+    assert PROVENANCE_JSON not in record.outputs
+    assert GATE_REPORT_JSON not in record.outputs
 
 
 def test_emitted_provenance_validates(smoke_run):
     _, out = smoke_run
     doc = validate_provenance_json(out / PROVENANCE_JSON)
-    assert doc["bootstrap_b"] == 60
-    assert doc["base_seed"] == 42
+    assert set(doc["outputs"]) == set(DIGESTED_OUTPUTS)
+    for entry in doc["outputs"].values():
+        assert entry["bootstrap_b"] == 60
+        assert entry["base_seed"] == 42
     assert "contracts/measures.json" in doc["input_digests"]
     assert "data/processed/long.csv" in doc["input_digests"]
+
+
+def test_provenance_credits_each_output_to_the_command_that_wrote_it(tmp_path):
+    """run --seed 1 --bootstrap 50, then multiverse --seed 2 --bootstrap 60:
+    the run's outputs stay credited to seed 1, B 50."""
+    ws, out = tmp_path / "ws", tmp_path / "out"
+    where = ["--mode", "smoke", "--workspace", str(ws), "--out", str(out)]
+    assert main(["run", "--seed", "1", "--bootstrap", "50", *where]) == 0
+    assert main(["multiverse", "--seed", "2", "--bootstrap", "60", *where]) == 0
+    outputs = validate_provenance_json(out / PROVENANCE_JSON)["outputs"]
+    configs = {
+        name: (e["command"], e["base_seed"], e["bootstrap_b"]) for name, e in outputs.items()
+    }
+    assert configs == {
+        PER_MEASURE_CSV: ("run", 1, 50),
+        SUMMARY_JSON: ("run", 1, 50),
+        MULTIVERSE_CSV: ("multiverse", 2, 60),
+        MULTIVERSE_SUMMARY_JSON: ("multiverse", 2, 60),
+        INGEST_EVIDENCE_JSON: ("multiverse", 2, 60),
+    }
+    report = run_gate("smoke", ws, out)
+    r12 = checks_by_id(report)["R12"]
+    assert r12.passed
+    assert "run: seed 1, B 50" in r12.detail and "multiverse: seed 2, B 60" in r12.detail
+    assert main(["verify", *where]) == 0
+
+
+def test_gate_fails_output_changed_before_the_next_command(tmp_path):
+    """An earlier command's entry is not carried forward once its output's
+    bytes changed, so R12 fails that output."""
+    ws, out = tmp_path / "ws", tmp_path / "out"
+    cmd_run(RunConfig(mode="smoke", workspace=ws, out_dir=out, bootstrap_b=50))
+    with open(out / PER_MEASURE_CSV, "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    cmd_multiverse(RunConfig(mode="smoke", workspace=ws, out_dir=out, bootstrap_b=50))
+    outputs = validate_provenance_json(out / PROVENANCE_JSON)["outputs"]
+    assert PER_MEASURE_CSV not in outputs and SUMMARY_JSON in outputs
+    by_id = checks_by_id(run_gate("smoke", ws, out))
+    assert by_id["R10"].passed  # every recorded digest still matches
+    assert not by_id["R12"].passed
+    assert PER_MEASURE_CSV in by_id["R12"].detail
+
+
+def test_gate_fails_outputs_of_other_inputs(tmp_path):
+    """Outputs made from inputs that changed before the next command keep no
+    entry: provenance records one set of input digests."""
+    ws, out = tmp_path / "ws", tmp_path / "out"
+    cmd_run(RunConfig(mode="smoke", workspace=ws, out_dir=out, bootstrap_b=50))
+    manifest = ws / "expected_hashes.json"
+    manifest.write_text(manifest.read_text(encoding="utf-8") + " ", encoding="utf-8")
+    cmd_multiverse(RunConfig(mode="smoke", workspace=ws, out_dir=out, bootstrap_b=50))
+    outputs = validate_provenance_json(out / PROVENANCE_JSON)["outputs"]
+    assert set(outputs) == set(COMMAND_OUTPUTS["multiverse"])
+    r12 = checks_by_id(run_gate("smoke", ws, out))["R12"]
+    assert not r12.passed
+    assert PER_MEASURE_CSV in r12.detail and SUMMARY_JSON in r12.detail
+
+
+def test_gate_fails_output_without_provenance_entry(smoke_run, tmp_path):
+    ws, out = copy_run(smoke_run, tmp_path)
+    path = out / PROVENANCE_JSON
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["outputs"][SUMMARY_JSON]
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    by_id = checks_by_id(run_gate("smoke", ws, out))
+    assert by_id["R10"].passed
+    assert not by_id["R12"].passed
+    assert "outputs with no provenance entry: ['summary.json']" in by_id["R12"].detail
 
 
 def test_gate_smoke_all_green(smoke_run):
