@@ -43,6 +43,7 @@ from .estimators import (
     icc,
     ksg_mi,
     nlr,
+    nlr_delta_rows,
     pearson,
     spearman,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "icc",
     "ksg_mi",
     "nlr",
+    "nlr_delta_rows",
     "pearson",
     "spearman",
     "ReliabilityEstimate",

@@ -10,7 +10,17 @@ records that it did.
 Reproducibility contract: replicate r draws its indices from an RNG seeded
 by (stream entropy, r), where the 128-bit stream entropy is derived by
 SHA-256 from (base_seed, measure_id, spec_id). Replicates are therefore
-bit-identical regardless of execution order, chunking, or worker count.
+bit-identical regardless of execution order, blocking, or worker count.
+
+The statistic is a batch statistic: it maps two (m, n) arrays, m samples of
+n pairs one per row, to m values, a non-finite value marking a sample that
+admits none. Replicate and jackknife-deletion rows are built and evaluated
+a block of about _BLOCK_ELEMENTS scores (at least one row) at a time, so
+working memory is set by the block, not by B or the number of deletions,
+and the statistic's per-call cost is paid once per block. Blocks change
+neither the index streams (replicate r still draws from its own RNG) nor
+the values or the drop counts: each row is evaluated on its own, whichever
+block it lands in.
 
 The one-sided p-value for H0: statistic <= 0 is the add-one counting
 estimate p = (1 + #{replicate <= 0}) / (b_effective + 1). The upstream
@@ -27,13 +37,16 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import BootstrapFailureError, EstimatorError
+from .errors import BootstrapFailureError
 from .ingest import PairedSample
 
 DEFAULT_B = 5000
 DEFAULT_LEVEL = 0.95
 
-Statistic = Callable[[PairedSample], float]
+_BLOCK_ELEMENTS = 1 << 15  # scores per block of replicate or deletion rows
+
+# (x1_rows, x2_rows) -> one value per row; non-finite marks a degenerate row
+Statistic = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,13 @@ def replicate_rng(entropy: int, r: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((entropy, r))))
 
 
+def _blocks(count: int, width: int):
+    """(start, stop) ranges of rows, each block about _BLOCK_ELEMENTS scores."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, width))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
+
 def resample_statistic(
     sample: PairedSample, statistic: Statistic, b: int, entropy: int
 ) -> tuple[np.ndarray, int]:
@@ -88,45 +108,30 @@ def resample_statistic(
     if b < 1:
         raise BootstrapFailureError(f"bootstrap budget must be >= 1, got {b}")
     n = sample.n
-    values: list[float] = []
-    dropped = 0
-    for r in range(b):
-        idx = replicate_rng(entropy, r).integers(0, n, size=n)
-        resample = PairedSample(
-            measure_id=sample.measure_id, x1=sample.x1[idx], x2=sample.x2[idx]
+    values = np.empty(b, dtype=np.float64)
+    for start, stop in _blocks(b, n):
+        idx = np.stack(
+            [replicate_rng(entropy, r).integers(0, n, size=n) for r in range(start, stop)]
         )
-        try:
-            value = statistic(resample)
-        except EstimatorError:
-            dropped += 1
-            continue
-        if not np.isfinite(value):
-            dropped += 1
-            continue
-        values.append(float(value))
-    if not values:
+        values[start:stop] = statistic(sample.x1[idx], sample.x2[idx])
+    values = values[np.isfinite(values)]
+    if not values.size:
         raise BootstrapFailureError(
             f"{sample.measure_id}: all {b} bootstrap replicates were degenerate"
         )
-    return np.asarray(values, dtype=np.float64), dropped
+    return values, b - values.size
 
 
 def jackknife_values(sample: PairedSample, statistic: Statistic) -> np.ndarray:
     """Leave-one-subject-out recomputation; failing deletions are dropped."""
     n = sample.n
-    values: list[float] = []
-    for i in range(n):
-        keep = np.arange(n) != i
-        reduced = PairedSample(
-            measure_id=sample.measure_id, x1=sample.x1[keep], x2=sample.x2[keep]
-        )
-        try:
-            value = statistic(reduced)
-        except EstimatorError:
-            continue
-        if np.isfinite(value):
-            values.append(float(value))
-    return np.asarray(values, dtype=np.float64)
+    values = np.empty(n, dtype=np.float64)
+    kept = np.arange(n - 1)
+    for start, stop in _blocks(n, n - 1):
+        # row i holds every subject but i, in order
+        idx = kept + (kept >= np.arange(start, stop)[:, None])
+        values[start:stop] = statistic(sample.x1[idx], sample.x2[idx])
+    return values[np.isfinite(values)]
 
 
 def _percentile(replicates: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -202,7 +207,11 @@ def bootstrap_estimate(
     level: float = DEFAULT_LEVEL,
 ) -> BootstrapResult:
     """Point estimate, BCa interval, and one-sided p for one statistic."""
-    point = float(statistic(sample))
+    point = float(statistic(sample.x1[None], sample.x2[None])[0])
+    if not np.isfinite(point):
+        raise BootstrapFailureError(
+            f"{sample.measure_id}: the statistic is undefined on the observed sample"
+        )
     replicates, _ = resample_statistic(sample, statistic, b, entropy)
     jack = jackknife_values(sample, statistic)
     interval = bca_interval(replicates, point, jack, alpha=1.0 - level)

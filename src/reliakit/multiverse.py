@@ -11,13 +11,14 @@ run bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .bootstrap import bootstrap_estimate, derive_entropy
 from .errors import BootstrapFailureError, EstimatorError
-from .estimators import CorrMethod, IccVariant, icc, nlr
+from .estimators import CorrMethod, IccVariant, icc, nlr, nlr_delta_rows
 from .inference import (
     STATUS_DEGENERATE,
     STATUS_INSUFFICIENT_N,
@@ -83,10 +84,7 @@ def run_cell(
         return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
     try:
         value = nlr(sample, k=spec.k, corr_method=spec.corr_method)
-
-        def statistic(s: PairedSample) -> float:
-            return nlr(s, k=spec.k, corr_method=spec.corr_method).delta
-
+        statistic = partial(nlr_delta_rows, k=spec.k, corr_method=spec.corr_method)
         entropy = derive_entropy(base_seed, sample.measure_id, spec_id)
         boot = bootstrap_estimate(sample, statistic, b=b, entropy=entropy)
         icc2 = icc(sample, IccVariant.TWO_WAY_RANDOM)

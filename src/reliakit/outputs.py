@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import SchemaError
@@ -118,9 +120,26 @@ def render_cell(value) -> str:
     return str(value)
 
 
-def write_text(path: Path, text: str) -> None:
+@contextmanager
+def _replacing(path: Path, newline: str):
+    """Open a temporary sibling of `path` for writing and move it onto
+    `path` with os.replace once it is complete. A command that dies mid-write
+    leaves the old file whole (or none), never a truncated one; the
+    pipeline writes provenance.json last, so its digests vouch only for
+    files that were finished."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: Path, text: str) -> None:
+    with _replacing(path, "\n") as fh:
         fh.write(text)
 
 
@@ -133,8 +152,7 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

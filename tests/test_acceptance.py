@@ -9,6 +9,7 @@ redistribute and reports SKIP with the reason.
 import csv
 import math
 import shutil
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from reliakit import (
     icc,
     ksg_mi,
     nlr,
+    nlr_delta_rows,
     bh_adjust,
 )
 from reliakit.bootstrap import bca_interval, bootstrap_estimate, derive_entropy
@@ -122,10 +124,7 @@ def test_acceptance_05_null_calibration():
         rng = np.random.default_rng(600_000 + i)
         sample = gauss_pairs(rng, 53, rho=0.0, measure_id=f"null{i:03d}")
         entropy = derive_entropy(20260819, sample.measure_id, "k4_pearson_nmin10")
-
-        def statistic(s):
-            return nlr(s, k=4).delta
-
+        statistic = partial(nlr_delta_rows, k=4)
         result = bootstrap_estimate(sample, statistic, b=1000, entropy=entropy)
         passes += headline_pass(result.ci_low)
     fraction = passes / measures

@@ -1,8 +1,23 @@
+import math
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
-from reliakit import BootstrapFailureError, EstimatorError, pearson
+from reliakit import (
+    BootstrapFailureError,
+    DegenerateSampleError,
+    EstimatorError,
+    PairedSample,
+    nlr,
+    nlr_delta_rows,
+    pearson,
+)
 from reliakit.bootstrap import (
+    _BLOCK_ELEMENTS,
     bca_interval,
     bootstrap_estimate,
     derive_entropy,
@@ -11,12 +26,105 @@ from reliakit.bootstrap import (
     replicate_rng,
     resample_statistic,
 )
+from reliakit.digamma import digamma_table
+from reliakit.estimators import RHO_CLAMP
+from reliakit.multiverse import CORR_GRID, K_GRID
 
 from conftest import gauss_pairs, make_sample
 
 
-def mean_x1(sample):
-    return float(np.mean(sample.x1))
+def mean_x1(x1, x2):
+    return x1.mean(axis=1)
+
+
+def rows_of(scalar):
+    """Batch statistic from a scalar one: NaN where the scalar raises."""
+
+    def batch(x1, x2):
+        out = []
+        for a, b in zip(x1, x2):
+            try:
+                out.append(scalar(PairedSample(measure_id="m", x1=a, x2=b)))
+            except EstimatorError:
+                out.append(np.nan)
+        return np.array(out, dtype=np.float64)
+
+    return batch
+
+
+def nlr_delta_1d(sample, k, method="pearson"):
+    """Reference nlr delta of one sample in 1-d numpy arithmetic: np.dot
+    for the correlation, whole-array mean and std, one unblocked distance
+    matrix. Raises DegenerateSampleError where nlr() does."""
+    x1, x2 = sample.x1, sample.x2
+    n = x1.size
+    if n < k + 1:
+        raise DegenerateSampleError("too few pairs")
+    a, b = (rankdata(x1), rankdata(x2)) if method == "spearman" else (x1, x2)
+    d1, d2 = a - a.mean(), b - b.mean()
+    s1, s2 = float(np.sqrt(np.dot(d1, d1))), float(np.sqrt(np.dot(d2, d2)))
+    if s1 == 0.0 or s2 == 0.0:
+        raise DegenerateSampleError("zero variance")
+    rho = float(np.dot(d1, d2) / (s1 * s2))
+    clamped = max(-RHO_CLAMP, min(RHO_CLAMP, rho))
+    mi_gauss = -0.5 * math.log1p(-(clamped * clamped))
+
+    def standardize(v):
+        sd = v.std(ddof=1)
+        c = v - v.mean()
+        return c / sd if sd > 0 else c
+
+    x, y = standardize(x1), standardize(x2)
+    dx = np.abs(x[:, None] - x[None, :])
+    dy = np.abs(y[:, None] - y[None, :])
+    dj = np.maximum(dx, dy)
+    np.fill_diagonal(dj, np.inf)
+    eps = np.partition(dj, k - 1, axis=1)[:, k - 1]
+    has_ball = eps > 0
+    nx = (dx < eps[:, None]).sum(axis=1) - has_ball
+    ny = (dy < eps[:, None]).sum(axis=1) - has_ball
+    t = digamma_table(n)
+    return float(t[k] - np.mean(t[nx + 1] + t[ny + 1]) + t[n]) - mi_gauss
+
+
+def loop_resample(sample, statistic, b, entropy):
+    """Reference: the per-replicate loop over a scalar statistic."""
+    n = sample.n
+    values = []
+    dropped = 0
+    for r in range(b):
+        idx = replicate_rng(entropy, r).integers(0, n, size=n)
+        resample = PairedSample(
+            measure_id=sample.measure_id, x1=sample.x1[idx], x2=sample.x2[idx]
+        )
+        try:
+            value = statistic(resample)
+        except EstimatorError:
+            dropped += 1
+            continue
+        if not np.isfinite(value):
+            dropped += 1
+            continue
+        values.append(float(value))
+    return np.asarray(values, dtype=np.float64), dropped
+
+
+def loop_jackknife(sample, statistic):
+    """Reference: the per-deletion loop over a scalar statistic."""
+    n = sample.n
+    values = []
+    for i in range(n):
+        keep = np.arange(n) != i
+        reduced = PairedSample(
+            measure_id=sample.measure_id, x1=sample.x1[keep], x2=sample.x2[keep]
+        )
+        try:
+            value = statistic(reduced)
+        except EstimatorError:
+            continue
+        if np.isfinite(value):
+            values.append(float(value))
+    return np.asarray(values, dtype=np.float64)
 
 
 def test_entropy_frozen_value():
@@ -68,6 +176,16 @@ def test_resample_prefix_stable_under_budget():
     small, _ = resample_statistic(s, mean_x1, 10, e)
     large, _ = resample_statistic(s, mean_x1, 50, e)
     assert np.array_equal(large[:10], small)
+    # across blocks: B = 5000 spans several blocks of rows and ends in a
+    # partial one, B = 200 fits in one; both equal the per-replicate loop
+    rows_per_block = _BLOCK_ELEMENTS // s.n
+    assert 200 < rows_per_block < 5000 and 5000 % rows_per_block
+    statistic = partial(nlr_delta_rows, k=4)
+    small, _ = resample_statistic(s, statistic, 200, e)
+    large, dropped = resample_statistic(s, statistic, 5000, e)
+    assert np.array_equal(large[:200], small)
+    want, want_dropped = loop_resample(s, partial(nlr_delta_1d, k=4), 5000, e)
+    assert np.array_equal(large, want) and dropped == want_dropped == 0
 
 
 def test_resample_needs_two_pairs_and_budget():
@@ -80,19 +198,18 @@ def test_resample_needs_two_pairs_and_budget():
 def test_resample_all_degenerate_raises():
     s = make_sample([3.0, 3.0, 3.0, 3.0], [5.0, 5.0, 5.0, 5.0])
     with pytest.raises(BootstrapFailureError):
-        resample_statistic(s, pearson, 20, 0)
+        resample_statistic(s, rows_of(pearson), 20, 0)
 
 
 def test_resample_drop_accounting():
     rng = np.random.default_rng(9)
     s = gauss_pairs(rng, 12, rho=0.2)
 
-    def picky(sample):
+    def picky(x1, x2):
         # reject low-diversity draws; at n = 12 roughly half the resamples
         # keep 7 or fewer distinct subjects, so both branches are exercised
-        if np.unique(sample.x1).size <= 7:
-            raise EstimatorError("too few distinct subjects")
-        return float(np.mean(sample.x1))
+        distinct = np.array([np.unique(row).size for row in x1])
+        return np.where(distinct <= 7, np.nan, x1.mean(axis=1))
 
     values, dropped = resample_statistic(s, picky, 200, 5)
     assert dropped > 0
@@ -104,8 +221,8 @@ def test_resample_drop_accounting():
 def test_resample_drops_nonfinite_values():
     s = make_sample([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
 
-    def sometimes_nan(sample):
-        return np.nan if sample.x1[0] == 1.0 else float(np.mean(sample.x1))
+    def sometimes_nan(x1, x2):
+        return np.where(x1[:, 0] == 1.0, np.nan, x1.mean(axis=1))
 
     values, dropped = resample_statistic(s, sometimes_nan, 100, 11)
     assert dropped > 0
@@ -179,7 +296,7 @@ def test_bootstrap_estimate_fields():
     rng = np.random.default_rng(21)
     s = gauss_pairs(rng, 30, rho=0.6)
     e = derive_entropy(42, "m", "s")
-    result = bootstrap_estimate(s, pearson, b=400, entropy=e)
+    result = bootstrap_estimate(s, rows_of(pearson), b=400, entropy=e)
     assert result.point == pearson(s)
     assert result.b_requested == 400
     assert 0 < result.b_effective <= 400
@@ -187,7 +304,7 @@ def test_bootstrap_estimate_fields():
     assert 0.0 < result.p_one_sided <= 1.0
     assert result.level == 0.95
     assert result.method in ("bca", "percentile_fallback")
-    again = bootstrap_estimate(s, pearson, b=400, entropy=e)
+    again = bootstrap_estimate(s, rows_of(pearson), b=400, entropy=e)
     assert result == again
 
 
@@ -208,3 +325,59 @@ def test_bootstrap_estimate_interval_covers_truth_mostly():
             hits += 1
     coverage = hits / trials
     assert 0.91 <= coverage <= 0.97, f"coverage {coverage}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    k=st.sampled_from(K_GRID),
+    method=st.sampled_from(CORR_GRID),
+    tied=st.booleans(),
+)
+def test_blocked_values_equal_per_sample_loop(data, k, method, tied):
+    # n up to 200 reaches both block shapes of the neighbour counts: whole
+    # samples per block up to n = 181, split query rows above
+    n = data.draw(st.integers(k + 1, 200), label="n")
+    b = data.draw(st.integers(1, 40), label="b")
+    if tied:
+        scores = st.integers(0, 4).map(float)
+    else:
+        scores = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    pairs = st.lists(st.tuples(scores, scores), min_size=n, max_size=n)
+    x1, x2 = np.array(data.draw(pairs, label="pairs"), dtype=np.float64).T
+    s = make_sample(x1, x2)
+    entropy = data.draw(st.integers(0, 2**128 - 1), label="entropy")
+    batch = partial(nlr_delta_rows, k=k, corr_method=method)
+    scalar = partial(nlr_delta_1d, k=k, method=method.value)
+    try:
+        assert nlr(s, k=k, corr_method=method).delta == scalar(s)
+    except DegenerateSampleError:
+        with pytest.raises(DegenerateSampleError):
+            nlr(s, k=k, corr_method=method)
+    want, want_dropped = loop_resample(s, scalar, b, entropy)
+    if want.size:
+        got, dropped = resample_statistic(s, batch, b, entropy)
+        assert np.array_equal(got, want) and dropped == want_dropped
+    else:
+        with pytest.raises(BootstrapFailureError):
+            resample_statistic(s, batch, b, entropy)
+    assert np.array_equal(jackknife_values(s, batch), loop_jackknife(s, scalar))
+
+
+@pytest.mark.parametrize("k", K_GRID)
+def test_every_deletion_degenerate_at_n_k_plus_1(k):
+    # n - 1 = k pairs admit no KSG estimate, so every deletion is dropped
+    # and the interval falls back to the percentile endpoints
+    s = gauss_pairs(np.random.default_rng(k), k + 1, rho=0.5)
+    statistic = partial(nlr_delta_rows, k=k)
+    assert jackknife_values(s, statistic).size == 0
+    assert loop_jackknife(s, partial(nlr_delta_1d, k=k)).size == 0
+    result = bootstrap_estimate(s, statistic, b=100, entropy=k)
+    assert result.method == "percentile_fallback"
+    assert result.point == nlr(s, k=k).delta
+
+
+def test_bootstrap_estimate_rejects_undefined_point():
+    s = make_sample([3.0, 3.0, 3.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(BootstrapFailureError):
+        bootstrap_estimate(s, rows_of(pearson), b=20, entropy=0)

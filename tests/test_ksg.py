@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma as scipy_digamma
 
 from reliakit import DegenerateSampleError, EstimatorError, ksg_mi
-from reliakit.estimators import _BRUTE_CHUNK, _ksg_counts_brute
+from reliakit.estimators import _BLOCK_ELEMENTS, _ksg_counts_brute
 
 from conftest import gauss_pairs, make_sample
 
@@ -72,9 +72,11 @@ def test_matches_loop_oracle_on_random_samples():
 
 
 @pytest.mark.parametrize("ties", [False, True])
-@pytest.mark.parametrize("n", [255, 256, 257, 600])
-def test_matches_loop_oracle_across_chunk_boundaries(n, ties):
-    assert _BRUTE_CHUNK == 256  # the sizes straddle one and two chunks
+@pytest.mark.parametrize("n", [181, 182, 256, 600])
+def test_matches_loop_oracle_across_block_boundaries(n, ties):
+    # 181 x 181 distance elements fill one block; from n = 182 on a sample's
+    # query rows are split: 180 + 2 rows, 2 x 128, and 11 x 54 + 6
+    assert _BLOCK_ELEMENTS == 1 << 15
     rng = np.random.default_rng(n)
     if ties:
         s = make_sample(rng.integers(0, 8, size=n), rng.integers(0, 8, size=n))
@@ -84,7 +86,7 @@ def test_matches_loop_oracle_across_chunk_boundaries(n, ties):
 
 
 def _full_matrix_counts(x, y, k):
-    """Unchunked reference: one n x n matrix, self excluded by a mask."""
+    """Unblocked reference: one n x n matrix, self excluded by a mask."""
     dx = np.abs(x[:, None] - x[None, :])
     dy = np.abs(y[:, None] - y[None, :])
     others = ~np.eye(x.size, dtype=bool)
@@ -96,15 +98,19 @@ def _full_matrix_counts(x, y, k):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), k=st.integers(1, 6), support=st.integers(0, 12))
-def test_chunked_counts_equal_full_matrix_on_tied_data(data, k, support):
+def test_blocked_counts_equal_full_matrix_on_tied_data(data, k, support):
+    # several row samples: at small n one block holds many of them, at
+    # large n one sample spans many blocks
     n = data.draw(st.integers(k + 1, 600), label="n")
-    values = st.lists(st.integers(0, support), min_size=n, max_size=n)
-    x = np.array(data.draw(values, label="x"), dtype=np.float64)
-    y = np.array(data.draw(values, label="y"), dtype=np.float64)
+    m = data.draw(st.integers(1, 3 if n > 100 else 40), label="m")
+    values = st.lists(st.integers(0, support), min_size=m * n, max_size=m * n)
+    x = np.array(data.draw(values, label="x"), dtype=np.float64).reshape(m, n)
+    y = np.array(data.draw(values, label="y"), dtype=np.float64).reshape(m, n)
     nx, ny = _ksg_counts_brute(x, y, k)
-    want_x, want_y = _full_matrix_counts(x, y, k)
-    assert np.array_equal(nx, want_x)
-    assert np.array_equal(ny, want_y)
+    for row in range(m):
+        want_x, want_y = _full_matrix_counts(x[row], y[row], k)
+        assert np.array_equal(nx[row], want_x)
+        assert np.array_equal(ny[row], want_y)
 
 
 def test_duplicate_ties_stay_finite_and_consistent():

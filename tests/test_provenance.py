@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from reliakit import RunConfig, cmd_multiverse, cmd_run
+from reliakit import RunConfig, cmd_multiverse, cmd_run, pipeline
 from reliakit.cli import main
 from reliakit.outputs import (
     COMMAND_OUTPUTS,
@@ -19,7 +19,9 @@ from reliakit.outputs import (
     canonical_json,
     fmt_float,
     render_cell,
+    validate_multiverse_csv,
     validate_provenance_json,
+    write_csv,
 )
 from reliakit.provenance import (
     build_provenance,
@@ -179,6 +181,46 @@ def test_gate_fails_output_without_provenance_entry(smoke_run, tmp_path):
     assert by_id["R10"].passed
     assert not by_id["R12"].passed
     assert "outputs with no provenance entry: ['summary.json']" in by_id["R12"].detail
+
+
+def test_write_failure_keeps_the_old_file_whole(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("a",), [["1"]])
+
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("crash mid-write")
+
+    rows = [["2"]] * 10_000 + [[Unprintable()]]  # fails after many rows
+    with pytest.raises(RuntimeError):
+        write_csv(path, ("a",), rows)
+    assert path.read_text(encoding="utf-8") == "a\n1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_crash_after_first_output_fails_the_gate(tmp_path, monkeypatch):
+    """multiverse dies after writing its results CSV: the run's files stay
+    byte-identical, nothing is truncated, and verify refuses the mix."""
+    ws, out = tmp_path / "ws", tmp_path / "out"
+    config = RunConfig(mode="smoke", workspace=ws, out_dir=out, bootstrap_b=50)
+    cmd_run(config)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(pipeline, "write_json", crash)
+    with pytest.raises(RuntimeError):
+        cmd_multiverse(config)
+    monkeypatch.undo()
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(after) == set(before) | {MULTIVERSE_CSV}
+    assert all(after[name] == data for name, data in before.items())
+    assert validate_multiverse_csv(out / MULTIVERSE_CSV) == 24 * 6
+    report = run_gate("smoke", ws, out)
+    assert not report.overall
+    assert not checks_by_id(report)["R12"].passed
+    assert main(["verify", "--mode", "smoke", "--workspace", str(ws), "--out", str(out)]) != 0
 
 
 def test_gate_smoke_all_green(smoke_run):
