@@ -13,20 +13,33 @@ from .errors import EXIT_OK, EXIT_OTHER, EXIT_SCHEMA, ReliakitError
 from .pipeline import RunConfig, cmd_multiverse, cmd_run, cmd_verify
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("smoke", "final"), required=True)
     parser.add_argument("--seed", type=int, default=42, help="base RNG seed (default 42)")
     parser.add_argument(
         "--bootstrap",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="B",
         help="bootstrap replicates (default: 5000 final, 200 smoke)",
     )
-    parser.add_argument("--contract", default=None, help="contract JSON path")
-    parser.add_argument("--workspace", default=".", help="workspace root (default: .)")
+    parser.add_argument(
+        "--workspace",
+        default=".",
+        help="workspace root; the registry is its contracts/measures.json (default: .)",
+    )
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers")
+    parser.add_argument("--workers", type=_positive_int, default=1, help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +70,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         out_dir=args.out,
         base_seed=args.seed,
         bootstrap_b=args.bootstrap,
-        contract_path=args.contract,
         workers=args.workers,
     )
 

@@ -20,16 +20,21 @@ from pathlib import Path
 import numpy as np
 
 from .hashutil import sha256_file
+from .ingest import LONG_CSV_COLUMNS
 from .outputs import fmt_float, write_csv, write_json
+from .provenance import (
+    CONTRACT_RELPATH,
+    GATE_CONFIG,
+    HASH_MANIFEST,
+    PROCESSED_PIN,
+    PROCESSED_RELPATH,
+    SYNTHETIC_MARKER,
+)
+from .registry import Tier
 
 FIXTURE_SEED = 20260819
 
-_KEY_FILES = (
-    "contracts/measures.json",
-    "data/processed/long.csv",
-    "expected_hashes.json",
-    "gate_config.json",
-)
+_KEY_FILES = (CONTRACT_RELPATH, PROCESSED_RELPATH, HASH_MANIFEST, GATE_CONFIG)
 
 CONTRACT_DOC = {
     "version": "smoke-1",
@@ -245,41 +250,35 @@ def ensure_smoke_workspace(root: str | Path) -> Path:
 
 def make_smoke_workspace(root: str | Path) -> Path:
     root = Path(root)
-    contract_path = root / "contracts" / "measures.json"
-    long_csv = root / "data" / "processed" / "long.csv"
-    marker = root / "data" / "processed" / "SYNTHETIC_DATA"
-    manifest_path = root / "expected_hashes.json"
-    gate_config_path = root / "gate_config.json"
+    contract = root / CONTRACT_RELPATH
+    long_csv = root / PROCESSED_RELPATH
+    manifest = root / HASH_MANIFEST
 
-    write_json(contract_path, CONTRACT_DOC)
+    write_json(contract, CONTRACT_DOC)
 
     rows = _generate_rows()
     rendered = [
         [r[0], r[1], str(r[2]), r[3], fmt_float(r[4]), str(r[5])]
         for r in rows
     ]
-    write_csv(
-        long_csv,
-        ("subject_id", "task", "session", "condition", "rt_ms", "accuracy"),
-        rendered,
-    )
-    marker.write_text(
+    write_csv(long_csv, LONG_CSV_COLUMNS, rendered)
+    (root / SYNTHETIC_MARKER).write_text(
         "Synthetic smoke-fixture data. Never promote results computed from this workspace.\n",
         encoding="utf-8",
     )
 
-    write_json(manifest_path, {"processed/long.csv": sha256_file(long_csv)})
-    tier_counts = {tier: 0 for tier in ("canonical", "primary", "sensitivity", "descriptive", "excluded")}
+    write_json(manifest, {PROCESSED_PIN: sha256_file(long_csv)})
+    tier_counts = {tier.value: 0 for tier in Tier}
     for entry in CONTRACT_DOC["entries"]:
         tier_counts[entry["tier"]] += 1
     write_json(
-        gate_config_path,
+        root / GATE_CONFIG,
         {
             "schema_version": 1,
             "pinned_tier_counts": tier_counts,
             "pinned_digests": {
-                "contracts/measures.json": sha256_file(contract_path),
-                "expected_hashes.json": sha256_file(manifest_path),
+                CONTRACT_RELPATH: sha256_file(contract),
+                HASH_MANIFEST: sha256_file(manifest),
             },
         },
     )

@@ -17,7 +17,3 @@ def sha256_file(path: str | Path) -> str:
                 break
             h.update(block)
     return h.hexdigest()
-
-
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

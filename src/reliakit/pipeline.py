@@ -1,25 +1,22 @@
 """Pipeline orchestration: ingest, estimate, infer, enumerate, verify.
 
 Everything here is glue around the analysis modules. The determinism
-contract is absolute: (workspace bytes, contract, mode, seed, B) determine
-every output byte, and a parallel run merges to the same bytes as a serial
-one because each cell owns a derived seed stream and results are joined in
+contract is absolute: (workspace bytes, mode, seed, B) determine every
+output byte, and a parallel run merges to the same bytes as a serial one
+because each cell owns a derived seed stream and results are joined in
 task order.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .errors import HashMismatchError, IngestError
 from .fixtures import ensure_smoke_workspace
-from .hashutil import sha256_file
 from .inference import apply_primary_inference
-from .ingest import build_sample, read_long_csv, verify_archive
+from .ingest import build_sample, read_long_csv
 from .multiverse import (
     DEFAULT_SPEC,
     MultiverseCell,
@@ -43,10 +40,10 @@ from .outputs import (
 )
 from .provenance import (
     CONTRACT_RELPATH,
-    HASH_MANIFEST,
     PROCESSED_RELPATH,
     GateReport,
     build_provenance,
+    digest_inputs,
     emit_provenance,
     run_gate,
     write_gate_report,
@@ -64,7 +61,6 @@ class RunConfig:
     out_dir: Path
     base_seed: int = 42
     bootstrap_b: int | None = None
-    contract_path: Path | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -72,8 +68,8 @@ class RunConfig:
             raise ValueError(f"mode must be smoke or final, got {self.mode!r}")
         self.workspace = Path(self.workspace)
         self.out_dir = Path(self.out_dir)
-        if self.contract_path is not None:
-            self.contract_path = Path(self.contract_path)
+        if self.bootstrap_b is not None and self.bootstrap_b < 1:
+            raise ValueError("bootstrap_b must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -83,69 +79,9 @@ class RunConfig:
             return self.bootstrap_b
         return SMOKE_DEFAULT_B if self.mode == "smoke" else FINAL_DEFAULT_B
 
-    @property
-    def resolved_contract(self) -> Path:
-        return self.contract_path or self.workspace / CONTRACT_RELPATH
 
-    @property
-    def processed_path(self) -> Path:
-        return self.workspace / PROCESSED_RELPATH
-
-
-def _input_key(path: Path, workspace: Path) -> str:
-    try:
-        return path.resolve().relative_to(workspace.resolve()).as_posix()
-    except ValueError:
-        return path.name
-
-
-def _prepare_inputs(config: RunConfig) -> tuple[dict[str, str], list[dict]]:
-    """Materialize (smoke) or verify (final) inputs; digest them either way.
-
-    Every input, the processed table included, is hashed exactly once here;
-    later steps read the digests from the returned mapping."""
-    if config.mode == "smoke":
-        ensure_smoke_workspace(config.workspace)
-    digests: dict[str, str] = {}
-    archives: list[dict] = []
-    contract = config.resolved_contract
-    if not contract.is_file():
-        raise IngestError(f"contract file missing: {contract}")
-    digests[_input_key(contract, config.workspace)] = sha256_file(contract)
-    if not config.processed_path.is_file():
-        raise IngestError(f"processed table missing: {config.processed_path}")
-    manifest_path = config.workspace / HASH_MANIFEST
-    if manifest_path.is_file():
-        digests[HASH_MANIFEST] = sha256_file(manifest_path)
-    if config.mode == "final":
-        if not manifest_path.is_file():
-            raise HashMismatchError(f"final mode requires {HASH_MANIFEST}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        expected_processed = manifest.get("processed/long.csv")
-        if expected_processed is None:
-            raise HashMismatchError("processed/long.csv is not pinned in the manifest")
-        processed = verify_archive(config.processed_path, expected_processed)
-        digests[PROCESSED_RELPATH] = processed.observed_sha256
-        for rel in sorted(manifest):
-            if not rel.startswith("raw/"):
-                continue
-            evidence = verify_archive(config.workspace / "data" / rel, manifest[rel])
-            digests[f"data/{rel}"] = evidence.observed_sha256
-            archives.append(
-                {
-                    "archive": evidence.archive,
-                    "path": f"data/{rel}",
-                    "expected_sha256": evidence.expected_sha256,
-                    "observed_sha256": evidence.observed_sha256,
-                }
-            )
-    else:
-        digests[PROCESSED_RELPATH] = sha256_file(config.processed_path)
-    return digests, archives
-
-
-def _load_samples(config: RunConfig, registry: ContractRegistry):
-    table = read_long_csv(config.processed_path)
+def _load_samples(workspace: Path, registry: ContractRegistry):
+    table = read_long_csv(workspace / PROCESSED_RELPATH)
     samples = {}
     measures_evidence = {}
     for entry in registry.primary_measures():
@@ -184,12 +120,15 @@ def _execute(
     specs: list[Specification],
     write_results: Callable[[Path, list[MultiverseCell], ContractRegistry], dict],
 ) -> dict:
-    """Shared body of run and multiverse: digest inputs, load the samples,
-    evaluate each (spec, measure) cell, then write the command's results,
-    the ingest evidence and, last, the provenance record."""
-    input_digests, archives = _prepare_inputs(config)
-    registry = load_contract(config.resolved_contract)
-    row_count, samples, measures_evidence = _load_samples(config, registry)
+    """Shared body of run and multiverse: materialize (smoke) and digest the
+    workspace inputs, load the samples, evaluate each (spec, measure) cell,
+    then write the command's results, the ingest evidence and, last, the
+    provenance record."""
+    if config.mode == "smoke":
+        ensure_smoke_workspace(config.workspace)
+    input_digests, archives = digest_inputs(config.workspace, config.mode)
+    registry = load_contract(config.workspace / CONTRACT_RELPATH)
+    row_count, samples, measures_evidence = _load_samples(config.workspace, registry)
     tasks = [
         (spec, samples[entry.measure_id], config.base_seed, config.resolved_b)
         for spec in specs

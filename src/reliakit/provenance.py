@@ -1,6 +1,8 @@
-"""Provenance records and the 16-check promotion gate.
+"""Workspace inputs, provenance records and the 16-check promotion gate.
 
-The gate verifies a workspace/output pair without writing anything:
+`digest_inputs` is the one definition of what run and multiverse read from
+a workspace; provenance records its digests, and R10 re-hashes them. The
+gate verifies a workspace/output pair without writing anything:
 
     R1  workspace structure (contract, hash manifest, processed table)
     R2  expected output files present
@@ -11,7 +13,8 @@ The gate verifies a workspace/output pair without writing anything:
     R7  per-measure CSV schema
     R8  multiverse CSV schema
     R9  summary JSON schemas (run + multiverse)
-    R10 provenance schema; recorded output digests match the files
+    R10 provenance schema; recorded output and input digests match the
+        files
     R11 toolchain versions recorded and matching the live environment
     R12 run-config echo consistent with the gate mode, and an entry (the
         command, seed and B that wrote it) for every digested output present
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import json
 import platform
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,8 +39,9 @@ import numpy
 import scipy
 
 from . import __version__
-from .errors import ReliakitError, SchemaError
+from .errors import HashMismatchError, IngestError, ReliakitError, SchemaError
 from .hashutil import sha256_file
+from .ingest import ArchiveEvidence, verify_archive
 from .outputs import (
     COMMAND_OUTPUTS,
     DIGESTED_OUTPUTS,
@@ -61,7 +65,9 @@ from .registry import parse_contract, verify_declared_counts
 CONTRACT_RELPATH = "contracts/measures.json"
 HASH_MANIFEST = "expected_hashes.json"
 GATE_CONFIG = "gate_config.json"
-PROCESSED_RELPATH = "data/processed/long.csv"
+# the manifest pins paths relative to data/
+PROCESSED_PIN = "processed/long.csv"
+PROCESSED_RELPATH = f"data/{PROCESSED_PIN}"
 SYNTHETIC_MARKER = "data/processed/SYNTHETIC_DATA"
 
 REQUIRED_OUTPUTS = (
@@ -72,6 +78,65 @@ REQUIRED_OUTPUTS = (
     INGEST_EVIDENCE_JSON,
     PROVENANCE_JSON,
 )
+
+
+def _load_hash_manifest(workspace: Path) -> dict[str, str]:
+    """The one parser of the hash manifest: an object mapping paths under
+    data/ to hex digests."""
+    path = workspace / HASH_MANIFEST
+    if not path.is_file():
+        raise HashMismatchError(f"{HASH_MANIFEST}: missing")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise HashMismatchError(f"{HASH_MANIFEST}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
+    ):
+        raise HashMismatchError(f"{HASH_MANIFEST}: must map relative paths to hex digests")
+    return doc
+
+
+def _verify_pin(workspace: Path, manifest: dict[str, str], pin: str) -> ArchiveEvidence:
+    if pin not in manifest:
+        raise HashMismatchError(f"{pin} is not pinned in {HASH_MANIFEST}")
+    return verify_archive(workspace / "data" / pin, manifest[pin])
+
+
+def _raw_pins(manifest: dict[str, str]) -> list[str]:
+    return sorted(pin for pin in manifest if pin.startswith("raw/"))
+
+
+def digest_inputs(workspace: Path, mode: str) -> tuple[dict[str, str], list[dict]]:
+    """The inputs of run and multiverse, each hashed once: the registry, the
+    hash manifest when present and the processed table. Final mode also
+    checks the processed table and every raw archive against their pins in
+    the manifest, and digests the archives too.
+
+    Returns the digests, keyed by workspace-relative path, that provenance
+    records and gate check R10 re-hashes, and the archive evidence for
+    ingest_evidence.json."""
+    workspace = Path(workspace)
+    contract = workspace / CONTRACT_RELPATH
+    if not contract.is_file():
+        raise IngestError(f"contract file missing: {contract}")
+    processed = workspace / PROCESSED_RELPATH
+    if not processed.is_file():
+        raise IngestError(f"processed table missing: {processed}")
+    digests = {CONTRACT_RELPATH: sha256_file(contract)}
+    if (workspace / HASH_MANIFEST).is_file():
+        digests[HASH_MANIFEST] = sha256_file(workspace / HASH_MANIFEST)
+    if mode != "final":
+        digests[PROCESSED_RELPATH] = sha256_file(processed)
+        return digests, []
+    manifest = _load_hash_manifest(workspace)
+    digests[PROCESSED_RELPATH] = _verify_pin(workspace, manifest, PROCESSED_PIN).observed_sha256
+    archives = []
+    for pin in _raw_pins(manifest):
+        evidence = _verify_pin(workspace, manifest, pin)
+        digests[f"data/{pin}"] = evidence.observed_sha256
+        archives.append({**asdict(evidence), "path": f"data/{pin}"})
+    return digests, archives
 
 
 def toolchain_versions() -> dict[str, str]:
@@ -237,16 +302,6 @@ def _load_gate_config(workspace: Path) -> dict:
     return doc
 
 
-def _load_hash_manifest(workspace: Path) -> dict[str, str]:
-    path = workspace / HASH_MANIFEST
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
-    ):
-        raise SchemaError(f"{HASH_MANIFEST}: must map relative paths to hex digests")
-    return doc
-
-
 def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
     """Execute the promotion gate. Read-only and idempotent: the report is
     returned, not written (cmd_verify persists it)."""
@@ -324,14 +379,17 @@ def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
 
     def r10() -> str:
         doc = validate_provenance_json(out_dir / PROVENANCE_JSON)
-        for name, entry in sorted(doc["outputs"].items()):
-            path = out_dir / name
-            if not path.is_file():
-                raise SchemaError(f"{name}: digested output missing")
-            observed = sha256_file(path)
-            if observed != entry["sha256"]:
-                raise SchemaError(f"{name}: digest {observed} != recorded {entry['sha256']}")
-        return f"{len(doc['outputs'])} output digests verified"
+        outputs = {name: entry["sha256"] for name, entry in doc["outputs"].items()}
+        inputs = doc["input_digests"]
+        for root, recorded, kind in ((out_dir, outputs, "output"), (workspace, inputs, "input")):
+            for rel, expected in sorted(recorded.items()):
+                path = root / rel
+                if not path.is_file():
+                    raise SchemaError(f"{rel}: recorded {kind} missing")
+                observed = sha256_file(path)
+                if observed != expected:
+                    raise SchemaError(f"{rel}: digest {observed} != recorded {expected}")
+        return f"{len(outputs)} output and {len(inputs)} input digests verified"
 
     def r11() -> str:
         doc = validate_provenance_json(out_dir / PROVENANCE_JSON)
@@ -368,16 +426,11 @@ def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
 
     def r13() -> str:
         manifest = _load_hash_manifest(workspace)
-        raw = {rel: d for rel, d in manifest.items() if rel.startswith("raw/")}
+        raw = _raw_pins(manifest)
         if not raw:
             raise SchemaError("no raw archives pinned in the manifest")
-        for rel, expected in sorted(raw.items()):
-            path = workspace / "data" / rel
-            if not path.is_file():
-                raise SchemaError(f"data/{rel}: missing")
-            observed = sha256_file(path)
-            if observed != expected:
-                raise SchemaError(f"data/{rel}: digest {observed} != pinned {expected}")
+        for pin in raw:
+            _verify_pin(workspace, manifest, pin)
         return f"{len(raw)} raw archives verified"
 
     def r14() -> str:
@@ -404,15 +457,7 @@ def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
         return "no synthetic-data marker"
 
     def r16() -> str:
-        manifest = _load_hash_manifest(workspace)
-        expected = manifest.get("processed/long.csv")
-        if expected is None:
-            raise SchemaError("processed/long.csv not pinned in the manifest")
-        observed = sha256_file(workspace / PROCESSED_RELPATH)
-        if observed != expected:
-            raise SchemaError(
-                f"processed/long.csv: digest {observed} != pinned {expected}"
-            )
+        _verify_pin(workspace, _load_hash_manifest(workspace), PROCESSED_PIN)
         return "processed table digest verified"
 
     run_check("R1", "workspace-structure", r1)
@@ -446,6 +491,7 @@ __all__ = [
     "GateCheck",
     "GateReport",
     "build_provenance",
+    "digest_inputs",
     "emit_provenance",
     "run_gate",
     "write_gate_report",

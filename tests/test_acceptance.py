@@ -363,7 +363,8 @@ def test_acceptance_11_gate_pass_and_tamper(tmp_path):
 
     # tamper each pinned file in a scratch copy; the matching check and the
     # overall verdict must both flip. A trailing newline leaves the parsed
-    # content identical, so only the digest comparison can catch it.
+    # content identical, so only the digest comparisons can catch it: the
+    # gate-config pin (R6) and the input digest provenance recorded (R10).
     for rel in ("contracts/measures.json", "expected_hashes.json"):
         ws2 = tmp_path / f"ws_{rel.replace('/', '_')}"
         shutil.copytree(ws, ws2)
@@ -371,7 +372,7 @@ def test_acceptance_11_gate_pass_and_tamper(tmp_path):
         path.write_bytes(path.read_bytes() + b"\n")
         tampered = run_gate("smoke", ws2, out)
         failed = {c.id for c in tampered.checks if not c.skipped and not c.passed}
-        ok = ok and not tampered.overall and failed == {"R6"}
+        ok = ok and not tampered.overall and failed == {"R6", "R10"}
     report(
         11,
         "gate: 12 executed + 4 skipped on clean workspace; pinned-file tampering flips it",

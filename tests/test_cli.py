@@ -30,6 +30,8 @@ def test_run_config_validation(tmp_path):
         RunConfig(mode="production", workspace=tmp_path, out_dir=tmp_path)
     with pytest.raises(ValueError):
         RunConfig(mode="smoke", workspace=tmp_path, out_dir=tmp_path, workers=0)
+    with pytest.raises(ValueError):
+        RunConfig(mode="smoke", workspace=tmp_path, out_dir=tmp_path, bootstrap_b=0)
     smoke = RunConfig(mode="smoke", workspace=tmp_path, out_dir=tmp_path)
     final = RunConfig(mode="final", workspace=tmp_path, out_dir=tmp_path)
     assert smoke.resolved_b == 200
@@ -103,27 +105,53 @@ def test_cli_run_exit_zero(tmp_path, capsys):
     assert (tmp_path / "out" / PER_MEASURE_CSV).is_file()
 
 
-def test_cli_missing_contract_exits_2_without_outputs(tmp_path, capsys):
+def test_cli_final_missing_contract_exits_2_without_outputs(tmp_path, capsys):
+    """The registry is always the workspace's contracts/measures.json. Final
+    mode does not recreate it, so a workspace without one stops with exit
+    code 2 before anything is written."""
     ws = tmp_path / "ws"
     out = tmp_path / "out"
-    main(
-        ["run", "--mode", "smoke", "--workspace", str(ws), "--out", str(tmp_path / "seeded")]
-    )
-    code = main(
-        [
-            "run",
-            "--mode",
-            "smoke",
-            "--workspace",
-            str(ws),
-            "--out",
-            str(out),
-            "--contract",
-            str(ws / "nope.json"),
-        ]
-    )
+    main(["run", "--mode", "smoke", "--workspace", str(ws), "--out", str(tmp_path / "seeded")])
+    (ws / "contracts" / "measures.json").unlink()
+    capsys.readouterr()
+    code = main(["run", "--mode", "final", "--workspace", str(ws), "--out", str(out)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "contract file missing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_contract_override(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--mode", "smoke", "--workspace", str(tmp_path / "ws"),
+              "--contract", str(tmp_path / "other.json")])
+    assert exc.value.code != 0
+    assert not (tmp_path / "ws").exists()
+
+
+@pytest.mark.parametrize("flag", ["--bootstrap", "--workers"])
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_cli_rejects_non_positive_b_and_workers(tmp_path, capsys, flag, value):
+    ws, out = tmp_path / "ws", tmp_path / "out"
+    for command in ("run", "multiverse"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--mode", "smoke", "--workspace", str(ws), "--out", str(out),
+                  flag, value])
+        assert exc.value.code != 0
+        assert "positive integer" in capsys.readouterr().err
+    assert not ws.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("manifest", ["[]", '{"processed/long.csv": 1}', "{not json", "{}"])
+def test_cli_final_malformed_manifest_exits_3_without_outputs(tmp_path, capsys, manifest):
+    ws = tmp_path / "ws"
+    out = tmp_path / "out"
+    main(["run", "--mode", "smoke", "--workspace", str(ws), "--out", str(tmp_path / "seeded"),
+          "--bootstrap", "20"])
+    (ws / "expected_hashes.json").write_text(manifest, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["run", "--mode", "final", "--workspace", str(ws), "--out", str(out)])
+    assert code == 3
+    assert "expected_hashes.json" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -182,6 +210,28 @@ def test_cli_verify_smoke_passes(tmp_path, capsys):
     assert sum("PASS" in l for l in lines) == 12
     assert sum("SKIP" in l for l in lines) == 4
     assert (tmp_path / "out" / "gate_report.json").is_file()
+
+
+def test_cli_verify_fails_input_edited_after_the_commands(tmp_path, capsys):
+    """R10 re-hashes the inputs provenance recorded: editing one RT of the
+    processed table after run and multiverse fails R10 and nothing else."""
+    ws = tmp_path / "ws"
+    out = tmp_path / "out"
+    run_both(ws, out)
+    table = ws / "data" / "processed" / "long.csv"
+    lines = table.read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split(",")
+    cells[4] = str(float(cells[4]) + 1.0)
+    lines[5] = ",".join(cells)
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["verify", "--mode", "smoke", "--workspace", str(ws), "--out", str(out)])
+    assert code == 4
+    report = json.loads((out / "gate_report.json").read_text(encoding="utf-8"))
+    failed = {c["id"] for c in report["checks"] if not c["skipped"] and not c["passed"]}
+    assert failed == {"R10"}
+    r10 = next(c for c in report["checks"] if c["id"] == "R10")
+    assert "data/processed/long.csv" in r10["detail"]
 
 
 def test_cli_verify_smoke_is_read_only(tmp_path, capsys):

@@ -111,8 +111,11 @@ def test_emitted_provenance_validates(smoke_run):
     for entry in doc["outputs"].values():
         assert entry["bootstrap_b"] == 60
         assert entry["base_seed"] == 42
-    assert "contracts/measures.json" in doc["input_digests"]
-    assert "data/processed/long.csv" in doc["input_digests"]
+    assert set(doc["input_digests"]) == {
+        "contracts/measures.json",
+        "expected_hashes.json",
+        "data/processed/long.csv",
+    }
 
 
 def test_provenance_credits_each_output_to_the_command_that_wrote_it(tmp_path):
@@ -310,6 +313,8 @@ def test_tamper_contract_byte_trips_pin_only(smoke_run, tmp_path):
     assert by_id["R5"].passed  # counts untouched
     assert not by_id["R6"].passed
     assert "digest" in by_id["R6"].detail
+    assert not by_id["R10"].passed  # the recorded input digest moved too
+    assert "contracts/measures.json" in by_id["R10"].detail
 
 
 def test_tamper_missing_output(smoke_run, tmp_path):
@@ -400,3 +405,30 @@ def test_final_mode_passes_on_sanitized_workspace(smoke_run, tmp_path):
     failed = [c.id for c in report.checks if not c.skipped and not c.passed]
     assert report.overall, failed
     assert report.executed == 16
+    doc = validate_provenance_json(out / PROVENANCE_JSON)
+    assert set(doc["input_digests"]) == {
+        "contracts/measures.json",
+        "expected_hashes.json",
+        "data/processed/long.csv",
+        "data/raw/archive.csv",
+    }
+    evidence = json.loads((out / INGEST_EVIDENCE_JSON).read_text(encoding="utf-8"))
+    assert [a["path"] for a in evidence["archives"]] == ["data/raw/archive.csv"]
+    assert evidence["archives"][0]["observed_sha256"] == manifest["raw/archive.csv"]
+
+    # a raw archive edited after the commands fails its pin (R13) and the
+    # input digest provenance recorded for it (R10)
+    raw.write_bytes(raw.read_bytes() + b"\n")
+    failed = {c.id for c in run_gate("final", ws, out).checks if not c.passed}
+    assert failed == {"R10", "R13"}
+
+
+def test_gate_manifest_checks_share_the_loader(smoke_run, tmp_path):
+    """R13 and R16 read the manifest through the loader the commands use, so
+    a manifest that is not an object fails both as a digest error."""
+    ws, out = copy_run(smoke_run, tmp_path)
+    (ws / "expected_hashes.json").write_text("[]", encoding="utf-8")
+    by_id = checks_by_id(run_gate("final", ws, out))
+    for check_id in ("R13", "R16"):
+        assert not by_id[check_id].passed
+        assert "must map relative paths" in by_id[check_id].detail
