@@ -7,10 +7,20 @@ construction (Efron 1987, JASA 82:171); when the correction is undefined
 dispersion) the interval falls back to the plain percentile endpoints and
 records that it did.
 
-Reproducibility contract: replicate r draws its indices from an RNG seeded
-by (stream entropy, r), where the 128-bit stream entropy is derived by
-SHA-256 from (base_seed, measure_id, spec_id). Replicates are therefore
-bit-identical regardless of execution order, blocking, or worker count.
+Reproducibility contract: replicate r draws its n indices as
+Generator(PCG64(SeedSequence((entropy, r)))).integers(0, n, size=n), where
+the 128-bit stream entropy is derived by SHA-256 from (base_seed,
+measure_id, spec_id). Replicates are therefore bit-identical regardless of
+execution order, blocking, or worker count. replicate_indices computes
+those streams for a block of r at once in numpy integer arrays: the
+SeedSequence pool mixing and PCG64 seeding run over r, the 128-bit LCG
+state of every draw comes from a closed-form jump, and the bounded draws
+follow Lemire's method as Generator.integers does. A row that hits a
+Lemire rejection (a rate below n / 2**32 per draw) is redrawn through
+replicate_rng itself. r must fit in one 32-bit SeedSequence word, so B is
+at most MAX_B = 2**32. NEP 19 keeps SeedSequence and PCG64 stable; a numpy
+feature release may change Generator.integers, which the stream property
+test in the test suite would catch.
 
 The statistic is a batch statistic: it maps two (m, n) arrays, m samples of
 n pairs one per row, to m values, a non-finite value marking a sample that
@@ -30,7 +40,9 @@ choice of this package and is always in (0, 1].
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,7 +55,18 @@ from .ingest import PairedSample
 DEFAULT_B = 5000
 DEFAULT_LEVEL = 0.95
 
+MAX_B = 1 << 32  # a replicate index must be one 32-bit SeedSequence word
+
 _BLOCK_ELEMENTS = 1 << 15  # scores per block of replicate or deletion rows
+
+# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 # (x1_rows, x2_rows) -> one value per row; non-finite marks a degenerate row
 Statistic = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -86,7 +109,135 @@ def derive_entropy(base_seed: int, measure_id: str, spec_id: str) -> int:
 
 
 def replicate_rng(entropy: int, r: int) -> np.random.Generator:
+    """Replicate r's generator: the definition of its stream, and the exact
+    path for the rows replicate_indices redraws."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((entropy, r))))
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix on uint32 words; returns the mixed words and
+    the next hash constant."""
+    following = (const * mult) & _MASK32
+    value = (value ^ const) * following
+    return value ^ (value >> 16), following
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> 16)
+
+
+def _seed_state(entropy: int, r: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence((entropy, r)).generate_state(4, uint64) for each r in a
+    uint32 array: four uint64 arrays over r."""
+    words = [
+        np.full(r.shape, (entropy >> shift) & _MASK32, dtype=np.uint32)
+        for shift in range(0, max(entropy.bit_length(), 1), 32)
+    ]
+    words.append(r)
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        value, const = _hashmix(
+            words[i] if i < len(words) else np.zeros_like(r), const, _MULT_A
+        )
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for src in range(_POOL_SIZE, len(words)):
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(words[src], const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    const = _INIT_B
+    out = []
+    for i in range(8):
+        value, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+        out.append(value.astype(np.uint64))
+    return [out[2 * k] | (out[2 * k + 1] << 32) for k in range(4)]
+
+
+def _split128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & ((1 << 64) - 1) for v in values], dtype=np.uint64)
+    hi.flags.writeable = lo.flags.writeable = False
+    return hi, lo
+
+
+@functools.lru_cache(maxsize=32)
+def _jump_table(outputs: int):
+    """Coefficients (A_j, C_j) = (M^(j+2), sum of M^t over t < j+2) mod 2**128
+    for j < outputs, as read-only (hi, lo) uint64 arrays. From the value
+    S = initstate + inc that PCG64 seeding holds before its last step, the
+    LCG state of 64-bit output j is A_j * S + C_j * inc."""
+    powers, sums = [], []
+    power, total = _PCG_MULT * _PCG_MULT & _MASK128, 1 + _PCG_MULT
+    for _ in range(outputs):
+        powers.append(power)
+        sums.append(total)
+        power, total = power * _PCG_MULT & _MASK128, (total + power) & _MASK128
+    return _split128(powers), _split128(sums)
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products of uint64 arrays."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    t = a_lo * b_lo
+    u = a_hi * b_lo + (t >> 32)
+    v = a_lo * b_hi + (u & _MASK32)
+    return a_hi * b_hi + (u >> 32) + (v >> 32)
+
+
+def _mul128(x_hi, x_lo, y_hi, y_lo):
+    """(hi, lo) of x * y mod 2**128."""
+    return _mulhi64(x_lo, y_lo) + x_lo * y_hi + x_hi * y_lo, x_lo * y_lo
+
+
+def _add128(x_hi, x_lo, y_hi, y_lo):
+    """(hi, lo) of x + y mod 2**128."""
+    lo = x_lo + y_lo
+    return x_hi + y_hi + (lo < x_lo), lo
+
+
+def replicate_indices(entropy: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Index rows of replicates start..stop-1 as one (stop - start, n) int64
+    array, bit for bit equal to stacking
+    replicate_rng(entropy, r).integers(0, n, size=n) over r."""
+    entropy, start, stop, n = map(operator.index, (entropy, start, stop, n))
+    if entropy < 0:
+        raise ValueError(f"entropy must be non-negative, got {entropy}")
+    if not 0 <= start <= stop <= MAX_B:
+        raise ValueError(f"replicates must lie in [0, 2**32), got [{start}, {stop})")
+    if not 1 <= n <= _MASK32:
+        raise ValueError(f"n must be in [1, 2**32), got {n}")
+    r = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
+    s0, s1, s2, s3 = _seed_state(entropy, r)
+    # PCG64 srandom(initstate = s0:s1, initseq = s2:s3)
+    inc_hi, inc_lo = (s2 << 1) | (s3 >> 63), (s3 << 1) | 1
+    seeded_hi, seeded_lo = _add128(s0, s1, inc_hi, inc_lo)
+    outputs = (n + 1) // 2
+    (a_hi, a_lo), (c_hi, c_lo) = _jump_table(outputs)
+    state_hi, state_lo = _add128(
+        *_mul128(seeded_hi[:, None], seeded_lo[:, None], a_hi, a_lo),
+        *_mul128(inc_hi[:, None], inc_lo[:, None], c_hi, c_lo),
+    )
+    # XSL-RR output; Generator.integers takes the low 32 bits, then the high
+    x = state_hi ^ state_lo
+    rot = state_hi >> 58
+    out = (x >> rot) | (x << ((64 - rot) & 63))
+    words = np.stack([out & _MASK32, out >> 32], axis=-1)
+    words = words.reshape(r.size, 2 * outputs)[:, :n]
+    # Lemire's bounded draw: a word is rejected where the low half of
+    # word * n is below (2**32 - n) mod n, and the next word is drawn
+    scaled = words * n
+    idx = (scaled >> 32).astype(np.int64)
+    rejected = ((scaled & _MASK32) < (_MASK32 + 1 - n) % n).any(axis=1)
+    for row in np.flatnonzero(rejected):
+        idx[row] = replicate_rng(entropy, start + int(row)).integers(0, n, size=n)
+    return idx
 
 
 def _blocks(count: int, width: int):
@@ -105,14 +256,12 @@ def resample_statistic(
         raise BootstrapFailureError(
             f"{sample.measure_id}: resampling needs at least 2 pairs"
         )
-    if b < 1:
-        raise BootstrapFailureError(f"bootstrap budget must be >= 1, got {b}")
+    if not 1 <= b <= MAX_B:
+        raise BootstrapFailureError(f"bootstrap budget must be in [1, 2**32], got {b}")
     n = sample.n
     values = np.empty(b, dtype=np.float64)
     for start, stop in _blocks(b, n):
-        idx = np.stack(
-            [replicate_rng(entropy, r).integers(0, n, size=n) for r in range(start, stop)]
-        )
+        idx = replicate_indices(entropy, start, stop, n)
         values[start:stop] = statistic(sample.x1[idx], sample.x2[idx])
     values = values[np.isfinite(values)]
     if not values.size:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .bootstrap import MAX_B
 from .errors import EXIT_OK, EXIT_OTHER, EXIT_SCHEMA, ReliakitError
 from .pipeline import RunConfig, cmd_multiverse, cmd_run, cmd_verify
 
@@ -23,15 +24,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bootstrap_budget(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_B:
+        raise argparse.ArgumentTypeError(f"must be at most 2**32 = {MAX_B}, got {text!r}")
+    return value
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("smoke", "final"), required=True)
     parser.add_argument("--seed", type=int, default=42, help="base RNG seed (default 42)")
     parser.add_argument(
         "--bootstrap",
-        type=_positive_int,
+        type=_bootstrap_budget,
         default=None,
         metavar="B",
-        help="bootstrap replicates (default: 5000 final, 200 smoke)",
+        help="bootstrap replicates, at most 2**32 (default: 5000 final, 200 smoke)",
     )
     parser.add_argument(
         "--workspace",

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ContractError
 from .hashutil import sha256_file
 from .ingest import LONG_CSV_COLUMNS
 from .outputs import fmt_float, write_csv, write_json
@@ -237,14 +238,22 @@ def _generate_rows() -> list[list]:
 
 
 def ensure_smoke_workspace(root: str | Path) -> Path:
-    """Materialize the fixture workspace unless one is already present.
+    """Materialize the fixture workspace when none of its key files exist.
 
-    An existing (possibly hand-edited) workspace is left untouched so that
-    tamper experiments against the gate stay observable.
+    A complete workspace (possibly hand-edited) is left untouched so that
+    tamper experiments against the gate stay observable. A partial one is
+    refused with a ContractError naming the missing files: regenerating it
+    would silently overwrite the files that remain.
     """
     root = Path(root)
-    if all((root / rel).is_file() for rel in _KEY_FILES):
+    missing = [rel for rel in _KEY_FILES if not (root / rel).is_file()]
+    if not missing:
         return root
+    if len(missing) < len(_KEY_FILES):
+        raise ContractError(
+            f"incomplete smoke workspace {root}: missing {', '.join(missing)}; "
+            "restore them or start from an empty workspace"
+        )
     return make_smoke_workspace(root)
 
 

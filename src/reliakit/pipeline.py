@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .bootstrap import MAX_B
 from .fixtures import ensure_smoke_workspace
 from .inference import apply_primary_inference
 from .ingest import build_sample, read_long_csv
@@ -68,8 +69,8 @@ class RunConfig:
             raise ValueError(f"mode must be smoke or final, got {self.mode!r}")
         self.workspace = Path(self.workspace)
         self.out_dir = Path(self.out_dir)
-        if self.bootstrap_b is not None and self.bootstrap_b < 1:
-            raise ValueError("bootstrap_b must be >= 1")
+        if self.bootstrap_b is not None and not 1 <= self.bootstrap_b <= MAX_B:
+            raise ValueError(f"bootstrap_b must be in [1, 2**32], got {self.bootstrap_b}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

@@ -16,13 +16,16 @@ from reliakit import (
     nlr_delta_rows,
     pearson,
 )
+from reliakit import bootstrap
 from reliakit.bootstrap import (
     _BLOCK_ELEMENTS,
+    MAX_B,
     bca_interval,
     bootstrap_estimate,
     derive_entropy,
     jackknife_values,
     one_sided_p,
+    replicate_indices,
     replicate_rng,
     resample_statistic,
 )
@@ -155,6 +158,76 @@ def test_replicate_rng_reproducible_and_independent():
     c = replicate_rng(e, 4).integers(0, 1000, size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def oracle_indices(entropy, start, stop, n):
+    """Reference: one numpy generator per replicate."""
+    return np.stack(
+        [replicate_rng(entropy, r).integers(0, n, size=n) for r in range(start, stop)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    entropy=st.one_of(
+        # below 2**96 the entropy's words and r fit SeedSequence's four-word
+        # pool; above it, r is the fifth word and is mixed in after the pool
+        st.integers(0, 2**96 - 1),
+        st.integers(2**96, 2**128 - 1),
+        st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**128 - 1]),
+    ),
+    n=st.integers(2, 1000),
+    count=st.integers(1, 24),
+)
+def test_replicate_indices_equal_numpy_streams(data, entropy, n, count):
+    rows_per_block = _BLOCK_ELEMENTS // n
+    start = data.draw(
+        st.one_of(
+            # a range across the edge of blocks k and k + 1 of resample_statistic
+            st.builds(
+                lambda k, back: max(0, (k + 1) * rows_per_block - back),
+                st.integers(0, 4),
+                st.integers(0, count),
+            ),
+            # the last replicate indices a 32-bit seed word can hold
+            st.integers(MAX_B - 64, MAX_B - count),
+        ),
+        label="start",
+    )
+    got = replicate_indices(entropy, start, start + count, n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracle_indices(entropy, start, start + count, n))
+
+
+def test_replicate_indices_redraws_lemire_rejections_exactly(monkeypatch):
+    # found by a vectorized scan: these four rows of (entropy, n = 997) each
+    # hold a word that Lemire's method rejects, so numpy draws one word more
+    entropy = derive_entropy(1, "m", "k4_pearson_nmin10")
+    redrawn = []
+
+    def spy(e, r):
+        redrawn.append(r)
+        return replicate_rng(e, r)
+
+    monkeypatch.setattr(bootstrap, "replicate_rng", spy)
+    got = replicate_indices(entropy, 4200, 7000, 997)
+    assert redrawn == [4294, 4977, 6777, 6921]
+    assert np.array_equal(got, oracle_indices(entropy, 4200, 7000, 997))
+
+
+def test_replicate_indices_bounds():
+    assert replicate_indices(5, 3, 3, 10).shape == (0, 10)
+    assert np.array_equal(replicate_indices(5, 0, 4, 1), np.zeros((4, 1), dtype=np.int64))
+    # r = 2**32 would need a second seed word; only two-row ranges are
+    # tried, so a missing check cannot start a 2**32-row draw
+    for start, stop in ((MAX_B - 1, MAX_B + 1), (MAX_B, MAX_B + 1), (5, 4), (-1, 2)):
+        with pytest.raises(ValueError):
+            replicate_indices(5, start, stop, 10)
+    with pytest.raises(ValueError):
+        replicate_indices(-1, 0, 2, 10)
+    with pytest.raises(ValueError):
+        replicate_indices(5, 0, 2, 0)
 
 
 def test_resample_bitwise_deterministic():

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from reliakit import RunConfig, cmd_multiverse, cmd_run
-from reliakit.cli import main
+from reliakit.bootstrap import MAX_B
+from reliakit.cli import build_parser, main
 from reliakit.outputs import (
     DIGESTED_OUTPUTS,
     MULTIVERSE_CSV,
@@ -139,6 +140,62 @@ def test_cli_rejects_non_positive_b_and_workers(tmp_path, capsys, flag, value):
         assert exc.value.code != 0
         assert "positive integer" in capsys.readouterr().err
     assert not ws.exists() and not out.exists()
+
+
+def test_bootstrap_budget_is_at_most_2_32(tmp_path, capsys):
+    """A replicate index is one 32-bit seed word, so B > 2**32 is refused
+    before anything is written. Checked by parsing and validation alone:
+    no run is ever started at such a B."""
+    args = ["run", "--mode", "smoke", "--workspace", str(tmp_path / "ws"),
+            "--out", str(tmp_path / "out"), "--bootstrap"]
+    assert MAX_B == 2**32
+    assert build_parser().parse_args(args + [str(MAX_B)]).bootstrap == MAX_B
+    for command in ("run", "multiverse"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *args[1:], str(MAX_B + 1)])
+        assert exc.value.code == 2
+        assert "at most 2**32" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(args + [str(MAX_B + 1)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "ws").exists() and not (tmp_path / "out").exists()
+    assert RunConfig(
+        mode="final", workspace=tmp_path, out_dir=tmp_path, bootstrap_b=MAX_B
+    ).resolved_b == MAX_B
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        RunConfig(mode="final", workspace=tmp_path, out_dir=tmp_path, bootstrap_b=MAX_B + 1)
+
+
+def snapshot(root):
+    return {
+        p.relative_to(root): (p.read_bytes(), p.stat().st_mtime_ns)
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def test_cli_smoke_refuses_partial_workspace_and_keeps_edits(tmp_path, capsys):
+    """An edited table in a workspace that lost one key file is neither
+    regenerated nor used: the command exits 2, names the missing file and
+    writes nothing."""
+    ws, out = tmp_path / "ws", tmp_path / "out"
+    args = ["run", "--mode", "smoke", "--workspace", str(ws), "--out", str(out),
+            "--bootstrap", "20"]
+    assert main(args) == 0
+    long_csv = ws / "data" / "processed" / "long.csv"
+    header, first, rest = long_csv.read_bytes().split(b"\n", 2)
+    fields = first.split(b",")
+    fields[header.split(b",").index(b"rt_ms")] = b"999"
+    long_csv.write_bytes(b"\n".join([header, b",".join(fields), rest]))
+    edited = long_csv.read_bytes()
+    (ws / "contracts" / "measures.json").unlink()
+    workspace_before, out_before = snapshot(ws), snapshot(out)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert "contracts/measures.json" in capsys.readouterr().err
+    assert long_csv.read_bytes() == edited
+    assert snapshot(ws) == workspace_before
+    assert snapshot(out) == out_before
 
 
 @pytest.mark.parametrize("manifest", ["[]", '{"processed/long.csv": 1}', "{not json", "{}"])
