@@ -69,6 +69,7 @@ from .multiverse import (
     Specification,
     build_grid,
     run_cell,
+    run_measure,
     summarize,
 )
 from .pipeline import RunConfig, cmd_multiverse, cmd_run, cmd_verify
@@ -131,6 +132,7 @@ __all__ = [
     "Specification",
     "build_grid",
     "run_cell",
+    "run_measure",
     "summarize",
     "RunConfig",
     "cmd_multiverse",

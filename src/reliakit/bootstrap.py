@@ -271,15 +271,23 @@ def resample_statistic(
     return values, b - values.size
 
 
-def jackknife_values(sample: PairedSample, statistic: Statistic) -> np.ndarray:
-    """Leave-one-subject-out recomputation; failing deletions are dropped."""
+def deletion_blocks(sample: PairedSample):
+    """The n leave-one-subject-out samples, a block at a time: yields
+    (start, stop, x1_rows, x2_rows), where row i of the two
+    (stop - start, n - 1) arrays holds every subject but start + i, in
+    order."""
     n = sample.n
-    values = np.empty(n, dtype=np.float64)
     kept = np.arange(n - 1)
     for start, stop in _blocks(n, n - 1):
-        # row i holds every subject but i, in order
         idx = kept + (kept >= np.arange(start, stop)[:, None])
-        values[start:stop] = statistic(sample.x1[idx], sample.x2[idx])
+        yield start, stop, sample.x1[idx], sample.x2[idx]
+
+
+def jackknife_values(sample: PairedSample, statistic: Statistic) -> np.ndarray:
+    """Leave-one-subject-out recomputation; failing deletions are dropped."""
+    values = np.empty(sample.n, dtype=np.float64)
+    for start, stop, x1, x2 in deletion_blocks(sample):
+        values[start:stop] = statistic(x1, x2)
     return values[np.isfinite(values)]
 
 
@@ -361,9 +369,24 @@ def bootstrap_estimate(
         raise BootstrapFailureError(
             f"{sample.measure_id}: the statistic is undefined on the observed sample"
         )
+    jackknife = jackknife_values(sample, statistic)
+    return bootstrap_around(sample, statistic, point, jackknife, b, entropy, level)
+
+
+def bootstrap_around(
+    sample: PairedSample,
+    statistic: Statistic,
+    point: float,
+    jackknife: np.ndarray,
+    b: int,
+    entropy: int,
+    level: float = DEFAULT_LEVEL,
+) -> BootstrapResult:
+    """bootstrap_estimate with the finite point estimate and the kept
+    jackknife values given, for a caller that evaluates them once for
+    several statistics: only the B replicates are drawn here."""
     replicates, _ = resample_statistic(sample, statistic, b, entropy)
-    jack = jackknife_values(sample, statistic)
-    interval = bca_interval(replicates, point, jack, alpha=1.0 - level)
+    interval = bca_interval(replicates, point, jackknife, alpha=1.0 - level)
     return BootstrapResult(
         point=point,
         ci_low=interval.ci_low,

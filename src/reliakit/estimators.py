@@ -38,7 +38,12 @@ Implementation notes that matter for reproducibility:
   mean and std(ddof=1) run along the last axis of C-contiguous arrays, and
   np.vecdot runs the same BLAS dot as 1-d np.dot (an elementwise product
   summed along axis 1, or einsum, rounds differently). The Gaussian
-  baseline stays a per-row math.log1p.
+  baseline stays the scalar math.log1p, one list comprehension over the
+  clamped rows (a vectorized np.log1p differs in the last bit).
+* nlr_terms_rows evaluates the two terms of nlr_delta_rows for several k
+  and correlation methods in one pass, the rows standardized once for all
+  k, so a caller that shares them across specifications (the multiverse
+  engine) gets the bits each specification would get alone.
 * The neighbour-count kernel takes its (block, n) distance matrices in
   blocks of about _BLOCK_ELEMENTS elements, whatever n and the number of
   samples: many whole samples per block when n is small, a few query rows
@@ -46,6 +51,10 @@ Implementation notes that matter for reproducibility:
   cache and memory stays bounded; a block of whole samples pays numpy's
   per-call cost once for all of them. Counts are integers from the same
   float operations in any blocking, so the block size never changes a bit.
+  The block's distance and mask buffers are allocated once per call and
+  refilled in place by every block (out= ufuncs, an in-place partition);
+  they are local to the call, so no state is shared between calls or
+  between pool workers.
 
 ICC follows McGraw & Wong (1996): ICC(2,1) treats sessions as random,
 ICC(3,1) as fixed. Confidence bounds use F quantiles at 1 - alpha/2 with
@@ -201,8 +210,18 @@ def gaussian_mi(rho: float) -> float:
     return -0.5 * math.log1p(-(rho * rho))
 
 
-def _clamped_gaussian_mi(rho: float) -> float:
+def clamped_gaussian_mi(rho: float) -> float:
+    """The Gaussian baseline of nlr(): gaussian_mi of rho clamped to
+    +-RHO_CLAMP, so that a perfectly collinear sample gets a large finite
+    baseline instead of a domain error."""
     return gaussian_mi(max(-RHO_CLAMP, min(RHO_CLAMP, rho)))
+
+
+def _gaussian_mi_rows(rho: np.ndarray) -> np.ndarray:
+    """clamped_gaussian_mi of each element, NaN for NaN: the same scalar
+    math.log1p, in one list comprehension."""
+    clamped = np.clip(rho, -RHO_CLAMP, RHO_CLAMP).tolist()
+    return np.array([-0.5 * math.log1p(-(c * c)) for c in clamped], dtype=np.float64)
 
 
 def _standardize(v: np.ndarray) -> np.ndarray:
@@ -220,28 +239,40 @@ def _ksg_counts_brute(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray,
     ny = np.empty((m, n), dtype=np.int64)
     rows = max(1, min(n, _BLOCK_ELEMENTS // n))  # query points per sample and block
     samples = max(1, _BLOCK_ELEMENTS // (n * n))  # samples per block; 1 unless rows == n
+    shape = (min(samples, m), rows, n)
+    dx_buf, dy_buf, dj_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    below_buf = np.empty(shape, dtype=bool)
     for s, i in product(range(0, m, samples), range(0, n, rows)):
         xs, ys = x[s : s + samples], y[s : s + samples]
         stop = min(i + rows, n)
-        dx = np.abs(xs[:, i:stop, None] - xs[:, None, :])
-        dy = np.abs(ys[:, i:stop, None] - ys[:, None, :])
-        dj = np.maximum(dx, dy)
+        block = (slice(0, xs.shape[0]), slice(0, stop - i))
+        dx, dy, dj, below = dx_buf[block], dy_buf[block], dj_buf[block], below_buf[block]
+        np.abs(np.subtract(xs[:, i:stop, None], xs[:, None, :], out=dx), out=dx)
+        np.abs(np.subtract(ys[:, i:stop, None], ys[:, None, :], out=dy), out=dy)
+        np.maximum(dx, dy, out=dj)
         own = np.arange(stop - i)
         dj[:, own, i + own] = np.inf
-        eps = np.partition(dj, k - 1, axis=2)[:, :, k - 1, None]
+        dj.partition(k - 1, axis=2)
+        eps = dj[:, :, k - 1, None]
         has_ball = eps[:, :, 0] > 0
         # strict inequality; the subtraction in dx/dy is the same one used
         # for eps, so boundary neighbours compare with equal bits
-        nx[s : s + samples, i:stop] = (dx < eps).sum(axis=2) - has_ball
-        ny[s : s + samples, i:stop] = (dy < eps).sum(axis=2) - has_ball
+        nx[s : s + samples, i:stop] = np.less(dx, eps, out=below).sum(axis=2) - has_ball
+        ny[s : s + samples, i:stop] = np.less(dy, eps, out=below).sum(axis=2) - has_ball
     return nx, ny
 
 
-def _ksg_rows(x1: np.ndarray, x2: np.ndarray, k: int) -> np.ndarray:
+def _ksg_rows(x1: np.ndarray, x2: np.ndarray, ks) -> list[np.ndarray]:
+    """KSG estimate of each row at each k in ks; the rows are standardized
+    once for all k."""
     n = x1.shape[-1]
-    nx, ny = _ksg_counts_brute(_standardize(x1), _standardize(x2), k)
+    z1, z2 = _standardize(x1), _standardize(x2)
     t = digamma_table(n)
-    return t[k] - np.mean(t[nx + 1] + t[ny + 1], axis=-1) + t[n]
+    terms = []
+    for k in ks:
+        nx, ny = _ksg_counts_brute(z1, z2, k)
+        terms.append(t[k] - np.mean(t[nx + 1] + t[ny + 1], axis=-1) + t[n])
+    return terms
 
 
 def ksg_mi(sample: PairedSample, k: int = DEFAULT_K) -> float:
@@ -254,7 +285,7 @@ def ksg_mi(sample: PairedSample, k: int = DEFAULT_K) -> float:
     """
     _check_k(k)
     x1, x2 = _check_sample(sample, k + 1)
-    return float(_ksg_rows(x1[None], x2[None], k)[0])
+    return float(_ksg_rows(x1[None], x2[None], (k,))[0][0])
 
 
 def nlr(
@@ -270,7 +301,7 @@ def nlr(
     """
     corr_method = CorrMethod(corr_method)
     rho = correlation(sample, corr_method)
-    mi_gauss = _clamped_gaussian_mi(rho)
+    mi_gauss = clamped_gaussian_mi(rho)
     mi_ksg = ksg_mi(sample, k=k)
     ratio = mi_ksg / mi_gauss if mi_gauss > 0.0 else None
     return NlrValue(
@@ -282,6 +313,50 @@ def nlr(
         k=k,
         corr_method=corr_method,
     )
+
+
+def nlr_terms_rows(
+    x1: np.ndarray,
+    x2: np.ndarray,
+    ks,
+    corr_methods,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of nlr_delta_rows for several k and correlation
+    methods in one pass.
+
+    x1 and x2 are (m, n) arrays holding m samples of n pairs, one per row.
+    Returns the KSG estimate of each row at each k in ks, a (len(ks), m)
+    array, and the Gaussian baseline of each row under each method, a
+    (len(corr_methods), m) array: bitwise what nlr() gives on that row
+    alone. NaN marks a row that admits no value: a non-finite score, fewer
+    than k + 1 pairs for a KSG term, fewer than 2 pairs or zero variance in
+    a session for a baseline.
+    """
+    ks = tuple(ks)
+    for k in ks:
+        _check_k(k)
+    corr_methods = [CorrMethod(method) for method in corr_methods]
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    if x1.ndim != 2 or x1.shape != x2.shape:
+        raise EstimatorError("nlr_terms_rows requires two (m, n) arrays of equal shape")
+    m, n = x1.shape
+    mi_ksg = np.full((len(ks), m), np.nan)
+    mi_gauss = np.full((len(corr_methods), m), np.nan)
+    valid = np.isfinite(x1).all(axis=1) & np.isfinite(x2).all(axis=1)
+    if not valid.any():
+        return mi_ksg, mi_gauss
+    if not valid.all():
+        x1, x2 = x1[valid], x2[valid]
+    estimable = [j for j, k in enumerate(ks) if n >= k + 1]
+    if estimable:
+        terms = _ksg_rows(x1, x2, [ks[j] for j in estimable])
+        for j, term in zip(estimable, terms):
+            mi_ksg[j, valid] = term
+    if n >= 2:
+        for j, method in enumerate(corr_methods):
+            mi_gauss[j, valid] = _gaussian_mi_rows(_corr_rows(x1, x2, method))
+    return mi_ksg, mi_gauss
 
 
 def nlr_delta_rows(
@@ -297,22 +372,8 @@ def nlr_delta_rows(
     NaN for every row on which nlr() raises: a non-finite score, fewer
     than k + 1 pairs, or zero variance in a session.
     """
-    _check_k(k)
-    corr_method = CorrMethod(corr_method)
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if x1.ndim != 2 or x1.shape != x2.shape:
-        raise EstimatorError("nlr_delta_rows requires two (m, n) arrays of equal shape")
-    delta = np.full(x1.shape[0], np.nan)
-    valid = np.isfinite(x1).all(axis=1) & np.isfinite(x2).all(axis=1)
-    if x1.shape[1] < k + 1 or not valid.any():
-        return delta
-    if not valid.all():
-        x1, x2 = x1[valid], x2[valid]
-    rho = _corr_rows(x1, x2, corr_method)
-    mi_gauss = [math.nan if math.isnan(r) else _clamped_gaussian_mi(r) for r in rho.tolist()]
-    delta[valid] = _ksg_rows(x1, x2, k) - np.array(mi_gauss)
-    return delta
+    mi_ksg, mi_gauss = nlr_terms_rows(x1, x2, (k,), (corr_method,))
+    return mi_ksg[0] - mi_gauss[0]
 
 
 def _f_quantile(p: float, d1: float, d2: float) -> float:

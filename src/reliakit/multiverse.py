@@ -1,11 +1,18 @@
-"""The 24-cell specification grid and per-cell estimation.
+"""The 24-cell specification grid and its estimation engine.
 
 Axes: k in {3,4,5,6}, correlation method in {pearson, spearman}, minimum
 paired sample size in {10, 15, 20}. The grid varies estimator settings
-only; ingestion is never re-run. Every (specification, measure) cell is an
-independent unit of work with its own derived seed stream, so cells can be
-computed in any order, on any number of workers, and still match a serial
-run bit for bit.
+only; ingestion is never re-run.
+
+The unit of work is a measure: run_measure estimates one measure under a
+list of specifications. What no specification's seed stream enters is
+evaluated once per measure: the observed KSG term per k, the observed
+correlation and its Gaussian baseline per method, the same two terms on
+the n leave-one-out samples, and both ICCs. Each (specification, measure)
+cell still draws its own B replicates from its own derived seed stream and
+builds its own interval, so a cell gets the same bits whichever other
+specifications share its measure, and measures can be computed in any
+order, on any number of workers, and still match a serial run bit for bit.
 """
 
 from __future__ import annotations
@@ -16,9 +23,18 @@ from itertools import product
 
 import numpy as np
 
-from .bootstrap import bootstrap_estimate, derive_entropy
+from .bootstrap import bootstrap_around, deletion_blocks, derive_entropy
 from .errors import BootstrapFailureError, EstimatorError
-from .estimators import CorrMethod, IccVariant, icc, nlr, nlr_delta_rows
+from .estimators import (
+    CorrMethod,
+    IccVariant,
+    clamped_gaussian_mi,
+    correlation,
+    icc,
+    ksg_mi,
+    nlr_delta_rows,
+    nlr_terms_rows,
+)
 from .inference import (
     STATUS_DEGENERATE,
     STATUS_INSUFFICIENT_N,
@@ -38,6 +54,12 @@ class Specification:
     k: int
     corr_method: CorrMethod
     n_min: int
+
+    def __post_init__(self) -> None:
+        # a bool or float k would share a dict key with an int k in a
+        # measure's shared terms (True == 1, 4.0 == 4)
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
 
     @property
     def spec_id(self) -> str:
@@ -62,49 +84,110 @@ def build_grid() -> list[Specification]:
     ]
 
 
+def _defined(estimator, *args):
+    """The estimator's value, or None where the sample admits none."""
+    try:
+        return estimator(*args)
+    except EstimatorError:
+        return None
+
+
+class MeasureTerms:
+    """The terms of one measure's cells that no seed stream enters, each
+    evaluated once for the given specifications (all with n >= n_min).
+
+    A term the sample does not admit is None, and makes every cell that
+    needs it degenerate. The leave-one-out terms are evaluated, in blocks,
+    only for the k and methods of cells that are still estimable; each of
+    their rows is NaN where nlr() would raise on that deletion.
+    """
+
+    def __init__(self, sample: PairedSample, specs: list[Specification]) -> None:
+        self.mi_ksg = {k: _defined(ksg_mi, sample, k) for k in {s.k for s in specs}}
+        self.rho = {m: _defined(correlation, sample, m) for m in {s.corr_method for s in specs}}
+        self.mi_gauss = {m: clamped_gaussian_mi(r) for m, r in self.rho.items() if r is not None}
+        self.icc_2_1 = _defined(icc, sample, IccVariant.TWO_WAY_RANDOM)
+        self.icc_3_1 = _defined(icc, sample, IccVariant.TWO_WAY_FIXED)
+        live = [s for s in specs if self.estimable(s)]
+        ks = list(dict.fromkeys(s.k for s in live))
+        methods = list(dict.fromkeys(s.corr_method for s in live))
+        jack_ksg = np.empty((len(ks), sample.n))
+        jack_gauss = np.empty((len(methods), sample.n))
+        if live:
+            for start, stop, x1, x2 in deletion_blocks(sample):
+                jack_ksg[:, start:stop], jack_gauss[:, start:stop] = nlr_terms_rows(
+                    x1, x2, ks, methods
+                )
+        self.jack_ksg = dict(zip(ks, jack_ksg))
+        self.jack_gauss = dict(zip(methods, jack_gauss))
+
+    def estimable(self, spec: Specification) -> bool:
+        needed = (self.mi_ksg[spec.k], self.rho[spec.corr_method], self.icc_2_1, self.icc_3_1)
+        return all(term is not None for term in needed)
+
+
+def run_measure(
+    specs: list[Specification], sample: PairedSample, base_seed: int, b: int
+) -> list[MultiverseCell]:
+    """Estimate one measure under each specification, in the order given.
+
+    The spec-invariant terms are evaluated once (MeasureTerms) for the
+    specifications whose n_min the sample meets; run_cell then draws each
+    cell's replicates and builds its interval. The one engine behind both
+    commands: run passes the default specification, multiverse the grid.
+    """
+    active = [spec for spec in specs if sample.n >= spec.n_min]
+    terms = MeasureTerms(sample, active) if active else None
+    return [run_cell(spec, sample, base_seed, b, terms) for spec in specs]
+
+
+def _cell(spec: Specification, sample: PairedSample, status: str, **fields) -> MultiverseCell:
+    estimate = ReliabilityEstimate(
+        measure_id=sample.measure_id, spec_id=spec.spec_id, n=sample.n, status=status, **fields
+    )
+    return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
+
+
 def run_cell(
-    spec: Specification, sample: PairedSample, base_seed: int, b: int
+    spec: Specification,
+    sample: PairedSample,
+    base_seed: int,
+    b: int,
+    terms: MeasureTerms | None = None,
 ) -> MultiverseCell:
-    """Estimate one measure under one specification.
+    """Estimate one measure under one specification: the per-cell step of
+    run_measure, which passes the measure's shared terms. Called alone, it
+    evaluates those terms for this specification only, and equals
+    run_measure([spec], ...)[0].
 
     Estimator failures demote the cell to degenerate status; they never
-    abort the grid. The primary pipeline runs the same function with the
-    default specification, which is what makes the two paths bitwise
-    comparable.
+    abort the grid.
     """
-    spec_id = spec.spec_id
-    n = sample.n
-    if n < spec.n_min:
-        estimate = ReliabilityEstimate(
-            measure_id=sample.measure_id,
-            spec_id=spec_id,
-            n=n,
-            status=STATUS_INSUFFICIENT_N,
-        )
-        return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
+    if sample.n < spec.n_min:
+        return _cell(spec, sample, STATUS_INSUFFICIENT_N)
+    if terms is None:
+        terms = MeasureTerms(sample, [spec])
+    if not terms.estimable(spec):
+        return _cell(spec, sample, STATUS_DEGENERATE)
+    k, method = spec.k, spec.corr_method
+    mi_ksg, mi_gauss = terms.mi_ksg[k], terms.mi_gauss[method]
+    jack = terms.jack_ksg[k] - terms.jack_gauss[method]
+    statistic = partial(nlr_delta_rows, k=k, corr_method=method)
+    entropy = derive_entropy(base_seed, sample.measure_id, spec.spec_id)
     try:
-        value = nlr(sample, k=spec.k, corr_method=spec.corr_method)
-        statistic = partial(nlr_delta_rows, k=spec.k, corr_method=spec.corr_method)
-        entropy = derive_entropy(base_seed, sample.measure_id, spec_id)
-        boot = bootstrap_estimate(sample, statistic, b=b, entropy=entropy)
-        icc2 = icc(sample, IccVariant.TWO_WAY_RANDOM)
-        icc3 = icc(sample, IccVariant.TWO_WAY_FIXED)
-    except (EstimatorError, BootstrapFailureError):
-        estimate = ReliabilityEstimate(
-            measure_id=sample.measure_id,
-            spec_id=spec_id,
-            n=n,
-            status=STATUS_DEGENERATE,
+        boot = bootstrap_around(
+            sample, statistic, mi_ksg - mi_gauss, jack[np.isfinite(jack)], b, entropy
         )
-        return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
-    estimate = ReliabilityEstimate(
-        measure_id=sample.measure_id,
-        spec_id=spec_id,
-        n=n,
-        status=STATUS_OK,
-        rho=value.rho,
-        mi_ksg=value.mi_ksg,
-        mi_gauss=value.mi_gauss,
+    except BootstrapFailureError:
+        return _cell(spec, sample, STATUS_DEGENERATE)
+    icc2, icc3 = terms.icc_2_1, terms.icc_3_1
+    return _cell(
+        spec,
+        sample,
+        STATUS_OK,
+        rho=terms.rho[method],
+        mi_ksg=mi_ksg,
+        mi_gauss=mi_gauss,
         nlr_delta=boot.point,
         ci_low=boot.ci_low,
         ci_high=boot.ci_high,
@@ -117,7 +200,6 @@ def run_cell(
         icc_3_1=icc3.value,
         headline_pass=headline_pass(boot.ci_low),
     )
-    return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
 
 
 def _axis_summary(cells: list[MultiverseCell], key) -> dict:

@@ -2,9 +2,12 @@
 
 Everything here is glue around the analysis modules. The determinism
 contract is absolute: (workspace bytes, mode, seed, B) determine every
-output byte, and a parallel run merges to the same bytes as a serial one
-because each cell owns a derived seed stream and results are joined in
-task order.
+output byte. The unit of work handed to the workers is a measure: one task
+runs multiverse.run_measure over the command's specifications, so each
+sample is pickled once. Each cell still owns a derived seed stream, and the
+cells are joined back in spec-major order (every measure under the first
+specification, then the second, ...), so the worker count is invisible in
+the outputs: a parallel run merges to the same bytes as a serial one.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .multiverse import (
     MultiverseCell,
     Specification,
     build_grid,
-    run_cell,
+    run_measure,
     summarize,
 )
 from .outputs import (
@@ -103,16 +106,16 @@ def _load_samples(workspace: Path, registry: ContractRegistry):
     return len(table), samples, measures_evidence
 
 
-def _cell_task(args) -> MultiverseCell:
-    spec, sample, base_seed, b = args
-    return run_cell(spec, sample, base_seed, b)
+def _measure_task(args) -> list[MultiverseCell]:
+    specs, sample, base_seed, b = args
+    return run_measure(specs, sample, base_seed, b)
 
 
-def _run_cells(tasks: list, workers: int) -> list[MultiverseCell]:
+def _run_measures(tasks: list, workers: int) -> list[list[MultiverseCell]]:
     if workers == 1 or len(tasks) <= 1:
-        return [_cell_task(t) for t in tasks]
+        return [_measure_task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_cell_task, tasks))
+        return list(pool.map(_measure_task, tasks))
 
 
 def _execute(
@@ -122,20 +125,20 @@ def _execute(
     write_results: Callable[[Path, list[MultiverseCell], ContractRegistry], dict],
 ) -> dict:
     """Shared body of run and multiverse: materialize (smoke) and digest the
-    workspace inputs, load the samples, evaluate each (spec, measure) cell,
-    then write the command's results, the ingest evidence and, last, the
-    provenance record."""
+    workspace inputs, load the samples, evaluate every specification on
+    each measure (one task per measure), then write the command's results,
+    the ingest evidence and, last, the provenance record."""
     if config.mode == "smoke":
         ensure_smoke_workspace(config.workspace)
     input_digests, archives = digest_inputs(config.workspace, config.mode)
     registry = load_contract(config.workspace / CONTRACT_RELPATH)
     row_count, samples, measures_evidence = _load_samples(config.workspace, registry)
     tasks = [
-        (spec, samples[entry.measure_id], config.base_seed, config.resolved_b)
-        for spec in specs
+        (specs, samples[entry.measure_id], config.base_seed, config.resolved_b)
         for entry in registry.primary_measures()
     ]
-    cells = _run_cells(tasks, config.workers)
+    by_measure = _run_measures(tasks, config.workers)
+    cells = [cell for row in zip(*by_measure) for cell in row]  # spec-major
     summary = write_results(config.out_dir, cells, registry)
     evidence = {
         "archives": archives,

@@ -15,7 +15,13 @@ from reliakit import (
     pearson,
     spearman,
 )
-from reliakit.estimators import _midranks, correlation
+from reliakit.estimators import (
+    RHO_CLAMP,
+    _gaussian_mi_rows,
+    _midranks,
+    clamped_gaussian_mi,
+    correlation,
+)
 
 from conftest import gauss_pairs, make_sample
 
@@ -204,3 +210,48 @@ def test_nlr_spearman_route():
     value = nlr(s, corr_method="spearman")
     assert value.rho == spearman(s)
     assert value.corr_method is CorrMethod.SPEARMAN
+
+
+def _assert_baseline_rows_equal_scalar(rho):
+    got = _gaussian_mi_rows(np.asarray(rho, dtype=np.float64))
+    assert got.dtype == np.float64 and got.shape == (len(rho),)
+    for r, g in zip(rho, got.tolist()):
+        if math.isnan(r):
+            assert math.isnan(g)
+        else:
+            # bitwise, sign of zero included
+            assert g.hex() == clamped_gaussian_mi(r).hex(), r
+
+
+def test_baseline_rows_equal_scalar_at_the_edges():
+    below = math.nextafter(RHO_CLAMP, 0.0)
+    above = math.nextafter(RHO_CLAMP, 2.0)
+    edges = [
+        0.0, -0.0, 1.0, -1.0, RHO_CLAMP, -RHO_CLAMP, below, -below, above, -above,
+        math.nextafter(1.0, 2.0), -math.nextafter(1.0, 2.0), 1e-300, -1e-300,
+        5e-324, float("nan"),
+    ]
+    _assert_baseline_rows_equal_scalar(edges)
+    _assert_baseline_rows_equal_scalar([])
+    # outside the clamp every value gets the clamp's baseline
+    rows = _gaussian_mi_rows(np.array([above, 1.0, -1.0]))
+    assert np.all(rows == clamped_gaussian_mi(RHO_CLAMP))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True) | st.just(float("nan")),
+        min_size=1,
+        max_size=50,
+    )
+)
+def test_baseline_rows_equal_scalar_on_random_values(rho):
+    _assert_baseline_rows_equal_scalar(rho)
+
+
+def test_baseline_rows_equal_scalar_on_a_dense_draw():
+    # a vectorized np.log1p differs from math.log1p in the last bit on a
+    # few percent of such values; the rows must not
+    rho = np.random.default_rng(5).uniform(-1.0, 1.0, size=20000)
+    _assert_baseline_rows_equal_scalar(rho.tolist())

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma as scipy_digamma
 
 from reliakit import DegenerateSampleError, EstimatorError, ksg_mi
+from reliakit import estimators
 from reliakit.estimators import _BLOCK_ELEMENTS, _ksg_counts_brute
 
 from conftest import gauss_pairs, make_sample
@@ -111,6 +112,40 @@ def test_blocked_counts_equal_full_matrix_on_tied_data(data, k, support):
         want_x, want_y = _full_matrix_counts(x[row], y[row], k)
         assert np.array_equal(nx[row], want_x)
         assert np.array_equal(ny[row], want_y)
+
+
+def _tied_rows(rng, m, n, support):
+    x = rng.integers(0, support + 1, size=(m, n)).astype(np.float64)
+    y = rng.integers(0, support + 1, size=(m, n)).astype(np.float64)
+    return x, y
+
+
+def test_back_to_back_calls_share_no_buffer_state():
+    # the block buffers are sized per call: a call after a larger or
+    # smaller one, at another k, must see none of its values
+    rng = np.random.default_rng(211)
+    calls = []
+    for k, n, m in [(4, 5, 30), (3, 20, 200), (6, 181, 2), (1, 182, 3), (4, 600, 1),
+                    (2, 3, 50), (5, 20, 7), (3, 182, 1), (6, 7, 1), (4, 181, 1)]:
+        x, y = _tied_rows(rng, m, n, support=int(rng.integers(0, 6)))
+        calls.append((x, y, k, _ksg_counts_brute(x, y, k)))
+    for x, y, k, (nx, ny) in reversed(calls):
+        fresh_x, fresh_y = _ksg_counts_brute(x.copy(), y.copy(), k)
+        assert np.array_equal(nx, fresh_x) and np.array_equal(ny, fresh_y)
+        for row in range(x.shape[0]):
+            want_x, want_y = _full_matrix_counts(x[row], y[row], k)
+            assert np.array_equal(nx[row], want_x)
+            assert np.array_equal(ny[row], want_y)
+
+
+def test_counts_leave_inputs_untouched_and_keep_no_module_state():
+    rng = np.random.default_rng(223)
+    x, y = _tied_rows(rng, 3, 182, support=3)
+    x0, y0 = x.copy(), y.copy()
+    _ksg_counts_brute(x, y, 4)
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    # no array cached at module level, so forked pool workers share nothing
+    assert not [name for name, value in vars(estimators).items() if isinstance(value, np.ndarray)]
 
 
 def test_duplicate_ties_stay_finite_and_consistent():

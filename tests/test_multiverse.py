@@ -1,9 +1,29 @@
+from dataclasses import fields
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reliakit import DEFAULT_SPEC, Specification, build_grid, run_cell, summarize
-from reliakit.estimators import CorrMethod
-from reliakit.inference import STATUS_DEGENERATE, STATUS_INSUFFICIENT_N, STATUS_OK
+from reliakit.bootstrap import (
+    bca_interval,
+    derive_entropy,
+    jackknife_values,
+    one_sided_p,
+    resample_statistic,
+)
+from reliakit.errors import BootstrapFailureError, EstimatorError
+from reliakit.estimators import CorrMethod, IccVariant, icc, nlr, nlr_delta_rows
+from reliakit.inference import (
+    STATUS_DEGENERATE,
+    STATUS_INSUFFICIENT_N,
+    STATUS_OK,
+    ReliabilityEstimate,
+    headline_pass,
+)
+from reliakit.multiverse import CORR_GRID, K_GRID, MultiverseCell, run_measure
 
 from conftest import gauss_pairs, make_sample
 
@@ -20,6 +40,12 @@ def test_grid_shape_and_order():
     assert [s.k for s in grid[::6]] == [3, 4, 5, 6]
     assert DEFAULT_SPEC in grid
     assert DEFAULT_SPEC.spec_id == "k4_pearson_nmin10"
+
+
+@pytest.mark.parametrize("bad_k", [0, -1, True, 4.0])
+def test_specification_rejects_bad_k(bad_k):
+    with pytest.raises(ValueError):
+        Specification(bad_k, CorrMethod.PEARSON, 10)
 
 
 def test_run_cell_ok_status_fields():
@@ -187,3 +213,137 @@ def test_summarize_empty_and_all_insufficient():
     assert summary["grand"]["estimable"] == 0
     assert summary["grand"]["insufficient_n"] == 24
     assert summary["by_k"]["3"]["median_nlr_delta"] is None
+
+
+def oracle_bootstrap(sample, statistic, b, entropy, level=0.95):
+    """bootstrap_estimate as a self-contained sequence: point, replicates,
+    jackknife, BCa interval at alpha = 1 - level, p."""
+    point = float(statistic(sample.x1[None], sample.x2[None])[0])
+    if not np.isfinite(point):
+        raise BootstrapFailureError("undefined point")
+    replicates, _ = resample_statistic(sample, statistic, b, entropy)
+    jack = jackknife_values(sample, statistic)
+    interval = bca_interval(replicates, point, jack, alpha=1.0 - level)
+    return point, interval, one_sided_p(replicates)
+
+
+def oracle_cell(spec, sample, base_seed, b):
+    """The per-cell path the engine replaced: nlr, then the bootstrap, then
+    both ICCs, every term evaluated for this cell alone."""
+    spec_id = spec.spec_id
+    n = sample.n
+    if n < spec.n_min:
+        estimate = ReliabilityEstimate(sample.measure_id, spec_id, n, STATUS_INSUFFICIENT_N)
+        return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
+    try:
+        value = nlr(sample, k=spec.k, corr_method=spec.corr_method)
+        statistic = partial(nlr_delta_rows, k=spec.k, corr_method=spec.corr_method)
+        entropy = derive_entropy(base_seed, sample.measure_id, spec_id)
+        point, interval, p = oracle_bootstrap(sample, statistic, b, entropy)
+        icc2 = icc(sample, IccVariant.TWO_WAY_RANDOM)
+        icc3 = icc(sample, IccVariant.TWO_WAY_FIXED)
+    except (EstimatorError, BootstrapFailureError):
+        estimate = ReliabilityEstimate(sample.measure_id, spec_id, n, STATUS_DEGENERATE)
+        return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
+    estimate = ReliabilityEstimate(
+        measure_id=sample.measure_id,
+        spec_id=spec_id,
+        n=n,
+        status=STATUS_OK,
+        rho=value.rho,
+        mi_ksg=value.mi_ksg,
+        mi_gauss=value.mi_gauss,
+        nlr_delta=point,
+        ci_low=interval.ci_low,
+        ci_high=interval.ci_high,
+        method=interval.method,
+        p=p,
+        q=None,
+        icc_2_1=icc2.value,
+        icc_2_1_low=icc2.ci_low,
+        icc_2_1_high=icc2.ci_high,
+        icc_3_1=icc3.value,
+        headline_pass=headline_pass(interval.ci_low),
+    )
+    return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
+
+
+# the grid's (k, method) pairs again at n_min = 2, so that n = k + 1 and
+# other tiny samples reach the estimators
+LOW_N_MIN_SPECS = [Specification(k, corr, 2) for k in K_GRID for corr in CORR_GRID]
+
+
+def assert_cells_equal(got, want):
+    assert got.spec == want.spec and got.measure_id == want.measure_id
+    for field in fields(ReliabilityEstimate):
+        g = getattr(got.estimate, field.name)
+        w = getattr(want.estimate, field.name)
+        assert type(g) is type(w) and g == w, (got.spec.spec_id, field.name, g, w)
+
+
+def assert_engine_equals_oracle(specs, sample, base_seed, b):
+    cells = run_measure(specs, sample, base_seed, b)
+    assert len(cells) == len(specs)
+    for spec, cell in zip(specs, cells):
+        assert_cells_equal(cell, oracle_cell(spec, sample, base_seed, b))
+        assert_cells_equal(run_cell(spec, sample, base_seed, b), cell)
+    return cells
+
+
+# n below, at and above each n_min; n = k + 1 for every k; tiny samples
+N_CASES = (2, 3, 4, 5, 6, 7, 9, 10, 11, 14, 15, 16, 19, 20, 21)
+
+
+@st.composite
+def measure_samples(draw):
+    n = draw(st.sampled_from(N_CASES) | st.integers(2, 40), label="n")
+    kind = draw(st.sampled_from(["gauss", "tied", "ceiling", "constant"]), label="kind")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "gauss":
+        return gauss_pairs(rng, n, rho=draw(st.floats(-0.95, 0.95), label="rho"))
+    # accuracy-like proportions of a few trials, so scores tie
+    trials = draw(st.integers(1, 10), label="trials")
+    x2 = rng.integers(0, trials + 1, size=n)
+    if kind == "constant":
+        x1 = np.full(n, trials)
+    elif kind == "ceiling":
+        # one subject off the ceiling: its deletion leaves a constant session
+        x1 = np.full(n, trials)
+        x1[rng.integers(n)] = trials - 1
+    else:
+        x1 = np.clip(x2 + rng.integers(-1, 2, size=n), 0, trials)
+    return make_sample(x1 / trials, x2 / trials)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sample=measure_samples(),
+    base_seed=st.integers(0, 2**31 - 1),
+    b=st.integers(1, 30),
+)
+def test_engine_equals_per_cell_path(sample, base_seed, b):
+    assert_engine_equals_oracle(build_grid() + LOW_N_MIN_SPECS, sample, base_seed, b)
+
+
+@pytest.mark.parametrize("k", K_GRID)
+def test_engine_at_n_k_plus_1_falls_back_to_percentile(k):
+    # n - 1 = k pairs admit no KSG estimate, so every deletion is dropped
+    sample = gauss_pairs(np.random.default_rng(k), k + 1, rho=0.5)
+    specs = [Specification(k, corr, k + 1) for corr in CORR_GRID]
+    cells = assert_engine_equals_oracle(specs, sample, 5, 100)
+    assert [c.estimate.method for c in cells] == ["percentile_fallback"] * 2
+
+
+def test_engine_on_constant_session_is_degenerate():
+    sample = make_sample([0.5] * 12, np.linspace(0.0, 1.0, 12))
+    cells = assert_engine_equals_oracle(build_grid() + LOW_N_MIN_SPECS, sample, 3, 20)
+    assert {c.estimate.status for c in cells} == {STATUS_DEGENERATE, STATUS_INSUFFICIENT_N}
+
+
+@pytest.mark.parametrize("n", [181, 182])
+def test_engine_across_the_block_boundary(n):
+    # from n = 182 on one sample's distance matrix no longer fits a count
+    # block; at n = 181 the deletion rows (180 pairs) still do
+    sample = gauss_pairs(np.random.default_rng(n), n, rho=0.4)
+    cells = assert_engine_equals_oracle(build_grid(), sample, 9, 6)
+    assert {c.estimate.status for c in cells} == {STATUS_OK}
