@@ -5,6 +5,13 @@ subject_id, task, session, condition, rt_ms, accuracy (accuracy may be
 empty for pure-RT tasks). Raw archives are verified by SHA-256 before any
 row is read. The table is read once into numpy columns (a TrialTable), and
 each measure's sample is built from those columns.
+
+csv.reader with the default dialect defines the table's format. Most
+tables are plain, though: no quotes, no carriage returns, six fields on
+every line. On such lines csv.reader splits exactly where str.split(",")
+does, so the reader splits plain chunks of lines with one str.split and
+hands the rest of the file to csv.reader at the first chunk that is not
+plain.
 """
 
 from __future__ import annotations
@@ -12,10 +19,11 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -161,19 +169,40 @@ def _check_row(row: list[str], where: str) -> None:
 
 
 def _raise_first_bad_row(path: Path, skip: int) -> NoReturn:
-    """Re-read the table past its first `skip` records and raise the
-    row-wise validator's error for the first bad record, reporting the
-    physical line on which the record starts."""
+    """Re-read the table past its first `skip` records and raise the error
+    for the first bad record, reporting the physical line on which the
+    record starts. The error is the row-wise validator's, or csv.reader's
+    own when it cannot read the record (a field longer than
+    csv.field_size_limit()); `skip` = 0 also re-reads the header."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        deque(islice(reader, skip), maxlen=0)
-        start = reader.line_num + 1
-        for row in reader:
-            if row:
-                _check_row(row, f"{path.name}:{start}")
+        start = 1
+        try:
+            next(reader)
+            deque(islice(reader, skip), maxlen=0)
             start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    _check_row(row, f"{path.name}:{start}")
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise IngestError(f"{path.name}:{start}: {exc}") from None
     raise AssertionError(f"{path.name}: a chunk failed validation but no row did")
+
+
+def _raise_not_utf8(path: Path) -> NoReturn:
+    """Raise the error for the first bytes of the table that are not UTF-8,
+    naming the physical line they are on."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        raise IngestError(
+            f"{path.name}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    raise AssertionError(f"{path.name}: decoding failed but the bytes are UTF-8")
 
 
 def _parse_identifier(text: str, next_code: int) -> int | None:
@@ -199,7 +228,7 @@ def _parse_accuracy(text: str, next_code: int) -> int | None:
 
 
 def _encode(
-    values: tuple[str, ...],
+    values: Sequence[str],
     levels: dict[str, int],
     parse: Callable[[str, int], int | None],
 ) -> np.ndarray | None:
@@ -215,7 +244,7 @@ def _encode(
     return np.fromiter(map(levels.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _parse_rt(values: tuple[str, ...]) -> np.ndarray | None:
+def _parse_rt(values: Sequence[str]) -> np.ndarray | None:
     """Python float() of each value; None unless all are finite and >= 0."""
     try:
         rt = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
@@ -237,46 +266,108 @@ def _sorted_codes(codes: np.ndarray, levels: dict[str, int]) -> tuple[np.ndarray
     return rank[codes], tuple(names)
 
 
+def _plain_columns(lines: list[str], field_limit: int) -> list[list[str]] | None:
+    """The six columns of a chunk of physical lines, or None unless the
+    chunk is plain: no '"', carriage return or NUL (which csv.reader
+    refuses before Python 3.11), no line longer than `field_limit`, and
+    exactly five commas on every line. csv.reader reads each plain line as
+    one record, split where str.split(",") splits it, so the whole chunk
+    is split at once and each column taken with a stride-6 slice."""
+    width = len(LONG_CSV_COLUMNS)
+    text = "".join(lines)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    if max(map(len, lines)) > field_limit or set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    fields = text.replace("\n", ",").split(",")
+    del fields[width * len(lines) :]  # the empty field after a final newline
+    return [fields[k::width] for k in range(width)]
+
+
+def _csv_chunks(
+    lines: Iterable[str], path: Path, records: int
+) -> Iterator[tuple[int, Sequence[Sequence[str]]]]:
+    """csv.reader's records from `lines`, which begin `records` records
+    into the table, in chunks of _CHUNK_ROWS as (records before the chunk,
+    its six columns). Blank records are dropped; a chunk with a ragged
+    record, or one csv.reader cannot read, raises the first bad row."""
+    reader = csv.reader(lines)
+    while True:
+        try:
+            chunk = list(islice(reader, _CHUNK_ROWS))
+        except csv.Error:
+            _raise_first_bad_row(path, records)
+        if not chunk:
+            return
+        skip, records = records, records + len(chunk)
+        widths = set(map(len, chunk))
+        if 0 in widths:
+            widths.discard(0)
+            chunk = [row for row in chunk if row]
+        if not chunk:
+            continue
+        if widths != {len(LONG_CSV_COLUMNS)}:
+            _raise_first_bad_row(path, skip)
+        yield skip, list(zip(*chunk))
+
+
+def _chunks(fh: TextIO, path: Path) -> Iterator[tuple[int, Sequence[Sequence[str]]]]:
+    """The records after the header in chunks, as (records before the
+    chunk, its six columns). Chunks of _CHUNK_ROWS physical lines are split
+    by _plain_columns while they are plain; the first chunk that is not,
+    and every line after it, go through csv.reader."""
+    field_limit = csv.field_size_limit()
+    records = 0
+    while lines := list(islice(fh, _CHUNK_ROWS)):
+        columns = _plain_columns(lines, field_limit)
+        if columns is None:
+            yield from _csv_chunks(chain(lines, fh), path, records)
+            return
+        yield records, columns
+        records += len(lines)
+
+
 def read_long_csv(path: str | Path) -> TrialTable:
     """Parse and validate the processed long table in one streaming pass.
 
-    Records are read in chunks of _CHUNK_ROWS, and each column of a chunk
-    is parsed and checked at once: identifiers, session and accuracy by
-    their distinct strings, rt_ms by Python float() per value. A chunk that
-    fails any check is re-read row by row, so the error names the first bad
-    record and its physical line. Blank lines are skipped; a record with
-    too few or too many fields is an error."""
+    The table is what csv.reader reads from it. Records are read in chunks
+    of _CHUNK_ROWS: while the chunks are plain (see _plain_columns) each is
+    split by one str.split, which is how csv.reader would split it; from
+    the first chunk that is not plain on, csv.reader reads the rest, so
+    quoted fields, CRLF line ends and blank lines parse as csv defines
+    them. Each column of a chunk is parsed and checked at once:
+    identifiers, session and accuracy by their distinct strings, rt_ms by
+    Python float() per value. A chunk that fails any check is re-read row
+    by row, so the error names the first bad record and its physical line.
+    Blank lines are skipped; a record with too few or too many fields, a
+    field longer than csv.field_size_limit() and bytes that are not UTF-8
+    are errors."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"processed table missing: {path}")
     levels: list[dict[str, int]] = [{} for _ in LONG_CSV_COLUMNS]
     columns = [[np.empty(0, np.float64 if parse is None else np.int32)] for parse in _PARSERS]
-    records = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != LONG_CSV_COLUMNS:
-            raise IngestError(
-                f"{path.name}: expected header {','.join(LONG_CSV_COLUMNS)}, got {header}"
-            )
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            skip, records = records, records + len(chunk)
-            widths = set(map(len, chunk))
-            if 0 in widths:
-                widths.discard(0)
-                chunk = [row for row in chunk if row]
-            if not chunk:
-                continue
-            if widths != {len(LONG_CSV_COLUMNS)}:
-                _raise_first_bad_row(path, skip)
-            parts = [
-                _parse_rt(values) if parse is None else _encode(values, seen, parse)
-                for values, seen, parse in zip(zip(*chunk), levels, _PARSERS)
-            ]
-            if any(part is None for part in parts):
-                _raise_first_bad_row(path, skip)
-            for column, part in zip(columns, parts):
-                column.append(part)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh), None)
+            except csv.Error:
+                _raise_first_bad_row(path, 0)
+            if header is None or tuple(header) != LONG_CSV_COLUMNS:
+                raise IngestError(
+                    f"{path.name}: expected header {','.join(LONG_CSV_COLUMNS)}, got {header}"
+                )
+            for skip, chunk in _chunks(fh, path):
+                parts = [
+                    _parse_rt(values) if parse is None else _encode(values, seen, parse)
+                    for values, seen, parse in zip(chunk, levels, _PARSERS)
+                ]
+                if any(part is None for part in parts):
+                    _raise_first_bad_row(path, skip)
+                for column, part in zip(columns, parts):
+                    column.append(part)
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
     subject, task, session, condition, rt_ms, accuracy = map(np.concatenate, columns)
     subject_levels, task_levels, _, condition_levels, _, _ = levels
     subject, subjects = _sorted_codes(subject, subject_levels)

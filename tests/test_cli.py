@@ -238,6 +238,31 @@ def test_cli_hash_mismatch_exits_3(tmp_path, capsys):
     assert "sha256" in capsys.readouterr().err
 
 
+LONG_CSV_HEADER = b"subject_id,task,session,condition,rt_ms,accuracy\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (LONG_CSV_HEADER + b"s\xff,t,1,c,400,1\n", "long.csv:2: not UTF-8 text"),
+        (
+            LONG_CSV_HEADER + b"x" * 131073 + b",t,1,c,400,1\n",
+            "long.csv:2: field larger than field limit (131072)",
+        ),
+    ],
+)
+def test_cli_unreadable_table_exits_2(tmp_path, capsys, body, message):
+    ws = tmp_path / "ws"
+    main(["run", "--mode", "smoke", "--workspace", str(ws), "--out", str(tmp_path / "o1"),
+          "--bootstrap", "20"])
+    (ws / "data" / "processed" / "long.csv").write_bytes(body)
+    capsys.readouterr()
+    code = main(["run", "--mode", "smoke", "--workspace", str(ws), "--out", str(tmp_path / "o2"),
+                 "--bootstrap", "20"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def run_both(ws, out, *flags):
     """`run` then `multiverse` in smoke mode, the outputs verify gates."""
     for command in ("run", "multiverse"):

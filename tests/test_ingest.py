@@ -1,6 +1,9 @@
+import csv
 import hashlib
 import tempfile
+from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from reliakit.ingest import (
     RT_MIN_MS,
     FilterCounts,
     MeasureEvidence,
+    TrialTable,
     build_sample,
 )
 from reliakit.registry import AggregationRecipe, MeasureContract, Tier
@@ -216,6 +220,70 @@ def test_read_long_csv_rejects_bad_rows(tmp_path, body, message):
 def test_read_long_csv_missing_file(tmp_path):
     with pytest.raises(IngestError, match="processed table missing"):
         read_long_csv(tmp_path / "nope.csv")
+
+
+FIELD_LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            f"{HEADER}\ns1,t,1,c,400,1\n{'x' * (FIELD_LIMIT + 1)},t,1,c,400,1\n",
+            f"long.csv:3: field larger than field limit ({FIELD_LIMIT})",
+        ),
+        # a bad row before the over-long field is reported first
+        (
+            f"{HEADER}\ns1,t,3,c,400,1\ns1,{'x' * (FIELD_LIMIT + 1)},1,c,400,1\n",
+            "long.csv:2: session must be 1 or 2",
+        ),
+        (
+            f'{HEADER}\ns1,t,1,c,400,1\n\ns1,t,1,"a\n{"x" * FIELD_LIMIT}",400,1\n',
+            f"long.csv:4: field larger than field limit ({FIELD_LIMIT})",
+        ),
+        (
+            f"{'x' * (FIELD_LIMIT + 1)},task,session,condition,rt_ms,accuracy\n",
+            f"long.csv:1: field larger than field limit ({FIELD_LIMIT})",
+        ),
+    ],
+)
+def test_read_long_csv_rejects_over_long_fields(tmp_path, body, message):
+    path = tmp_path / "long.csv"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(IngestError) as err:
+        read_long_csv(path)
+    assert str(err.value) == message
+
+
+def test_read_long_csv_reads_a_line_longer_than_the_field_limit(tmp_path):
+    """Only a field is limited: a longer line of shorter fields is read."""
+    half = "x" * (FIELD_LIMIT // 2)
+    table = table_of(tmp_path, [trial("s1", 1, "c", 400.0), trial(half, 2, half, 500.0)])
+    assert table.subjects == ("s1", half)
+    assert table.conditions == ("c", half)
+    assert table.rt_ms.tolist() == [400.0, 500.0]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            HEADER.encode() + b"\ns1,t,1,c,400,1\ns\xff,t,1,c,400,1\n",
+            "long.csv:3: not UTF-8 text (invalid start byte at byte 65)",
+        ),
+        (
+            HEADER.encode() + b"\r\ns1,t,1,c,400,1\r\rs1,t,1,c\xe2\x82,400,1\r\n",
+            "long.csv:4: not UTF-8 text (invalid continuation byte at byte 74)",
+        ),
+        (b"subject_id\xc3", "long.csv:1: not UTF-8 text (unexpected end of data at byte 10)"),
+    ],
+)
+def test_read_long_csv_rejects_bytes_that_are_not_utf8(tmp_path, body, message):
+    path = tmp_path / "long.csv"
+    path.write_bytes(body)
+    with pytest.raises(IngestError) as err:
+        read_long_csv(path)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("bad_line", [2, 3, 4, 5, 9, 10, 13])
@@ -549,3 +617,146 @@ def test_build_sample_matches_rowwise_reference(trials):
         assert sample.x2.tobytes() == expected[0].x2.tobytes()
         assert sample.subjects == expected[0].subjects
         assert evidence == expected[1]
+
+
+# ---------------------------------------------------------------------------
+# read_long_csv against csv.reader alone
+
+
+def csv_reader_long_csv(path):
+    """read_long_csv with every record read by csv.reader, as it was before
+    plain chunks were split with str.split; csv.reader's own errors are
+    reported like a bad row."""
+    levels = [{} for _ in LONG_CSV_COLUMNS]
+    columns = [[np.empty(0, np.float64 if parse is None else np.int32)] for parse in ingest._PARSERS]
+    records = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error:
+            ingest._raise_first_bad_row(path, 0)
+        if header is None or tuple(header) != LONG_CSV_COLUMNS:
+            raise IngestError(
+                f"{path.name}: expected header {','.join(LONG_CSV_COLUMNS)}, got {header}"
+            )
+        while True:
+            try:
+                chunk = list(islice(reader, ingest._CHUNK_ROWS))
+            except csv.Error:
+                ingest._raise_first_bad_row(path, records)
+            if not chunk:
+                break
+            skip, records = records, records + len(chunk)
+            widths = set(map(len, chunk))
+            if 0 in widths:
+                widths.discard(0)
+                chunk = [row for row in chunk if row]
+            if not chunk:
+                continue
+            if widths != {len(LONG_CSV_COLUMNS)}:
+                ingest._raise_first_bad_row(path, skip)
+            parts = [
+                ingest._parse_rt(values) if parse is None else ingest._encode(values, seen, parse)
+                for values, seen, parse in zip(zip(*chunk), levels, ingest._PARSERS)
+            ]
+            if any(part is None for part in parts):
+                ingest._raise_first_bad_row(path, skip)
+            for column, part in zip(columns, parts):
+                column.append(part)
+    subject, task, session, condition, rt_ms, accuracy = map(np.concatenate, columns)
+    subject, subjects = ingest._sorted_codes(subject, levels[0])
+    task, tasks = ingest._sorted_codes(task, levels[1])
+    condition, conditions = ingest._sorted_codes(condition, levels[3])
+    return TrialTable(subjects, tasks, conditions, subject, task, session, condition, rt_ms, accuracy)
+
+
+# per column: values that pass, including leading and trailing spaces, NUL
+# and characters that str.splitlines() but not csv.reader ends lines at
+GOOD_FIELDS = (
+    ["s1", "s2", "S1", " s1", "s1 ", "s\x85", "a\x00b", "\x0b", " "],
+    ["t", "u", " t", "t\x0c", "\x1c"],
+    ["1", "2", " 2", "+1", "01", "2 "],
+    ["a", "b", "b ", "\x1c", "\x85"],
+    ["400", " 400", "1_000", "4e2", "0.1", "612.5 ", "0", "5000.01"],
+    ["", "", "0", "1", " 1", "1 "],
+)
+BAD_FIELDS = (
+    [""],
+    [""],
+    ["3", "x", ""],
+    [""],
+    ["-5", "nan", "fast", ""],
+    ["2", "yes"],
+)
+# lines that are not plain, each with its line end
+NOT_PLAIN = {
+    "quote": ['"s1",t,1,a,400,1\n', '"s,1",t,2,b,400,\n', 's"1,t,1,a,400,1\n'],
+    "quote across lines": ['s1,t,1,"two\nlines",400,1\n', 's2,"t\n\n",2,a,400,0\n'],
+    "bare cr": ["s1,t,1,a,400,1\r", "s1,t,1,a,400,\r", "s1,t,1,a\rb,400,1\n"],
+    "crlf": ["s1,t,2,b,400,0\r\n", "s1,t,2,b,400,\r\n"],
+    "blank": ["\n", " \n"],
+    "ragged": ["s1,t,1,a,400\n", "s1,t,1,a,400,1,\n"],
+    # eleven fields that would split into two good rows of six
+    "ragged pair": ["1,1,1,1,1\n1,1,1,1,1,1,1\n"],
+}
+
+
+@st.composite
+def long_tables(draw):
+    """A csv.field_size_limit() and a quote-free long table, sometimes with
+    a bad value and sometimes with one line that is not plain: quoted, with
+    a bare CR or a CRLF, blank, ragged, with an over-long field, or longer
+    than the limit with shorter fields."""
+    field_limit = draw(st.sampled_from([131072, 131072, 131072, 10, 16, 24]))
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, GOOD_FIELDS)).map(list), max_size=16))
+    if rows and draw(st.booleans()):
+        column = draw(st.integers(0, 5))
+        draw(st.sampled_from(rows))[column] = draw(st.sampled_from(BAD_FIELDS[column]))
+    lines = [",".join(row) + "\n" for row in rows]
+    kind = draw(st.sampled_from([None, "over-long field", "long line", *NOT_PLAIN]))
+    if kind == "over-long field":
+        line = f"s1,{'x' * (field_limit + 1)},1,a,400,1\n"
+    elif kind == "long line":
+        half = "y" * (field_limit // 2)
+        line = f"{half},t,1,{half},400,1\n"
+    elif kind is not None:
+        line = draw(st.sampled_from(NOT_PLAIN[kind]))
+    if kind is not None:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    body = HEADER + "\n" + "".join(lines)
+    return field_limit, body if draw(st.booleans()) else body.removesuffix("\n")
+
+
+def read_or_error(read, path):
+    try:
+        return read(path)
+    except IngestError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=long_tables(), chunk_rows=st.integers(1, 5))
+def test_read_long_csv_matches_csv_reader(table, chunk_rows):
+    field_limit, body = table
+    previous = csv.field_size_limit(field_limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            path = Path(tmp) / "long.csv"
+            path.write_bytes(body.encode("utf-8"))
+            expected = read_or_error(csv_reader_long_csv, path)
+            actual = read_or_error(read_long_csv, path)
+    finally:
+        csv.field_size_limit(previous)
+    if isinstance(expected, str):
+        assert actual == expected
+        return
+    assert isinstance(actual, TrialTable)
+    assert (actual.subjects, actual.tasks, actual.conditions) == (
+        expected.subjects,
+        expected.tasks,
+        expected.conditions,
+    )
+    for name in ("subject", "task", "session", "condition", "rt_ms", "accuracy"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

@@ -278,7 +278,8 @@ def assert_cells_equal(got, want):
     for field in fields(ReliabilityEstimate):
         g = getattr(got.estimate, field.name)
         w = getattr(want.estimate, field.name)
-        assert type(g) is type(w) and g == w, (got.spec.spec_id, field.name, g, w)
+        same = g == w or (g != g and w != w)  # NaN is the one value unequal to itself
+        assert type(g) is type(w) and same, (got.spec.spec_id, field.name, g, w)
 
 
 def assert_engine_equals_oracle(specs, sample, base_seed, b):
