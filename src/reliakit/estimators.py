@@ -24,10 +24,24 @@ Implementation notes that matter for reproducibility:
   neighbour that sits exactly at distance eps_i.
 * Ties: eps_i = 0 (at least k exact duplicates of point i) yields marginal
   counts of 0 and the digamma formula proceeds. No jitter is ever added.
-* Neighbour counts come from one blocked all-pairs path. At k = 4 it was
-  faster than a k-d tree query with a per-point strict refilter at every
-  measured n up to 3000 (the two draw level near n = 5000, far above the
-  cohorts this pipeline sees).
+* Neighbour counts of a row of n <= W = _WINDOW_GROUP + 2 * _WINDOW_MARGIN
+  (112) points come from one blocked all-pairs path, _ksg_counts_brute.
+  A wider row finds eps in sorted windows. Each group of _WINDOW_GROUP
+  consecutive points of the row sorted by x meets only the W sorted
+  positions [a, a + W) around it: the k-th smallest max-norm distance
+  there is a candidate eps, never below the true one. Rounding a
+  subtraction is monotone, so when the two points just outside the window,
+  a - 1 and a + W, lie at least eps away in x, every point outside does
+  too, and eps is the all-pairs one, bit for bit. A point that fails the
+  check (5-8% of the points of the 600-subject bootstrap and jackknife
+  rows of the large_n benchmark) gets eps from its full row with the
+  all-pairs arithmetic. By the same monotonicity, the points within eps of
+  a point along a margin form one run of that margin's sorted row, so nx
+  and ny come from binary searches, the same log2(n) steps for every
+  point, with the all-pairs subtraction and strict comparison. So only the
+  fallback's share of the work depends on the data. At n = 600 a count
+  call takes about 0.3 of the all-pairs time; at n near W windows gain
+  nothing, so narrower rows (and k >= W) stay all-pairs.
 * Every stage works on rows: the (m, n) arrays hold m samples of n pairs
   (bootstrap replicates, jackknife deletions, or one observed sample), and
   ranks, standardization, correlation, neighbour counts and the digamma
@@ -44,13 +58,14 @@ Implementation notes that matter for reproducibility:
   and correlation methods in one pass, the rows standardized once for all
   k, so a caller that shares them across specifications (the multiverse
   engine) gets the bits each specification would get alone.
-* The neighbour-count kernel takes its (block, n) distance matrices in
-  blocks of about _BLOCK_ELEMENTS elements, whatever n and the number of
-  samples: many whole samples per block when n is small, a few query rows
-  of one sample when n is large. A block's few distance matrices stay in
-  cache and memory stays bounded; a block of whole samples pays numpy's
-  per-call cost once for all of them. Counts are integers from the same
-  float operations in any blocking, so the block size never changes a bit.
+* The neighbour-count kernels take their distance matrices in blocks of
+  about _BLOCK_ELEMENTS elements, whatever n and the number of samples:
+  many whole samples per block when n is small, a few query rows of one
+  sample or a few sorted windows when n is large. A block's few distance
+  matrices stay in cache and memory stays bounded; a block of whole
+  samples pays numpy's per-call cost once for all of them. Counts are
+  integers from the same float operations in any blocking, so the block
+  size never changes a bit.
   The block's distance and mask buffers are allocated once per call and
   refilled in place by every block (out= ufuncs, an in-place partition);
   they are local to the call, so no state is shared between calls or
@@ -69,6 +84,7 @@ from enum import Enum
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betaincinv
 
 from .digamma import digamma_table
@@ -79,6 +95,15 @@ RHO_CLAMP = 1.0 - 1e-12
 DEFAULT_K = 4
 
 _BLOCK_ELEMENTS = 1 << 15  # distance-matrix elements per count block
+# Sorted-window counts: a window of _WINDOW_GROUP query positions and
+# _WINDOW_MARGIN positions on each side. On the 600-subject large_n run
+# (B = 200, 2 CPUs; least CPU time of 4 in-process runs, mean over 3
+# seeds) 16 and 48 took 0.75 s, with 6.7% of the points falling back,
+# against 0.74 s for 32 and 48, 0.69 s for 8 and 48 (13% apart from seed
+# to seed), 0.83 s for 16 and 32 (19% falling back), and 0.85 s and 0.87 s
+# for 16 and 64 or 80 (3.1% and 1.9%).
+_WINDOW_GROUP = 16
+_WINDOW_MARGIN = 48
 
 
 class CorrMethod(str, Enum):
@@ -262,6 +287,133 @@ def _ksg_counts_brute(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray,
     return nx, ny
 
 
+def _ksg_eps_points(x: np.ndarray, y: np.ndarray, k: int, row: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """eps of the points x[row, point], each against its full row, with the
+    arithmetic of _ksg_counts_brute."""
+    n = x.shape[1]
+    eps = np.empty(row.size)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    shape = (min(step, row.size), n)
+    dx_buf, dj_buf = np.empty(shape), np.empty(shape)
+    for s in range(0, row.size, step):
+        r, p = row[s : s + step], point[s : s + step]
+        dx, dj = dx_buf[: r.size], dj_buf[: r.size]
+        np.abs(np.subtract(x[r, p, None], x[r], out=dx), out=dx)
+        np.abs(np.subtract(y[r, p, None], y[r], out=dj), out=dj)
+        np.maximum(dx, dj, out=dj)
+        dj[np.arange(r.size), p] = np.inf
+        dj.partition(k - 1, axis=1)
+        eps[s : s + step] = dj[:, k - 1]
+    return eps
+
+
+def _window_eps(s: np.ndarray, t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """eps of every position of the (m, n) rows s, each sorted ascending,
+    from sorted windows; t is the other margin in the same order.
+
+    Each group of _WINDOW_GROUP consecutive positions is compared with the
+    W = _WINDOW_GROUP + 2 * _WINDOW_MARGIN positions [a, a + W) around it,
+    and eps of a position is the k-th smallest max-norm distance within its
+    window. Returns eps and the check: both points just outside the window,
+    a - 1 and a + W, lie at least eps away along s. Rounding a subtraction
+    is monotone, so where the check holds no point outside the window is
+    within eps, and eps is its all-pairs value, bit for bit."""
+    m, n = s.shape
+    width = _WINDOW_GROUP + 2 * _WINDOW_MARGIN
+    groups = -(-n // _WINDOW_GROUP)
+    # query positions of each group; the last group repeats position n - 1
+    query = np.minimum(np.arange(groups * _WINDOW_GROUP), n - 1).reshape(groups, -1)
+    first = np.clip(query[:, 0] - _WINDOW_MARGIN, 0, n - width)
+    own = query - first[:, None]  # each query's column within its window
+    # a window at the row's edge checks against the -inf or +inf pad
+    pad = np.full((m, 1), np.inf)
+    edged = sliding_window_view(np.concatenate([-pad, s, pad], axis=1), width + 2, axis=1)
+    t_win = sliding_window_view(t, width, axis=1)
+    total = m * groups
+    eps = np.empty((total, _WINDOW_GROUP))
+    ok = np.empty((total, _WINDOW_GROUP), dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // (_WINDOW_GROUP * (width + 2)))  # windows per block
+    shape = (min(step, total), _WINDOW_GROUP, width)
+    ds_buf, dj_buf = np.empty(shape[:2] + (width + 2,)), np.empty(shape)
+    for j in range(0, total, step):
+        stop = min(j + step, total)
+        r, g = np.divmod(np.arange(j, stop), groups)
+        ds, dj = ds_buf[: stop - j], dj_buf[: stop - j]
+        np.abs(np.subtract(s[r[:, None], query[g], None], edged[r, first[g]][:, None, :], out=ds), out=ds)
+        np.abs(np.subtract(t[r[:, None], query[g], None], t_win[r, first[g]][:, None, :], out=dj), out=dj)
+        np.maximum(ds[:, :, 1:-1], dj, out=dj)
+        dj[np.arange(stop - j)[:, None], np.arange(_WINDOW_GROUP), own[g]] = np.inf
+        dj.partition(k - 1, axis=2)
+        e = dj[:, :, k - 1]
+        eps[j:stop] = e
+        ok[j:stop] = (ds[:, :, 0] >= e) & (ds[:, :, -1] >= e)
+    return eps.reshape(m, -1)[:, :n], ok.reshape(m, -1)[:, :n]
+
+
+def _strip_counts(s: np.ndarray, order: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Count, for every point i of each (m, n) row of s, the other points j
+    with |fl(s_i - s_j)| < eps_i, as _ksg_counts_brute counts them.
+
+    order sorts each row ascending. Rounding a subtraction is monotone, so
+    fl(s_j - s_i) never decreases along the sorted row: the points with
+    fl(s_j - s_i) < eps_i, and those with fl(s_j - s_i) <= -eps_i, are
+    prefixes of it. A binary search finds the length of each, the same
+    log2(n) steps for every point, and the count is their difference less
+    the point itself (none when eps_i = 0)."""
+    m, n = s.shape
+    flat = np.take_along_axis(s, order, 1).ravel()
+    last = (np.arange(m) * n + n - 1)[:, None]  # flat index of each row's last point
+    probe, d = np.empty((m, n), dtype=np.intp), np.empty((m, n))
+    fits, passes = np.empty((m, n), dtype=bool), np.empty((m, n), dtype=bool)
+
+    def prefix(within, bound):
+        length = np.zeros((m, n), dtype=np.intp)
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            # does the sorted point at length + step - 1 pass? Past the row's
+            # end it fails, whatever the value at its last point
+            np.add(length, step - n, out=probe)
+            np.less_equal(probe, 0, out=fits)
+            np.add(np.minimum(probe, 0, out=probe), last, out=probe)
+            np.subtract(np.take(flat, probe, out=d), s, out=d)
+            np.logical_and(within(d, bound, out=passes), fits, out=passes)
+            length += np.multiply(passes, step, out=probe)
+            step >>= 1
+        return length
+
+    inside = prefix(np.less, eps)
+    inside -= prefix(np.less_equal, -eps)
+    return np.maximum(inside, 0, out=inside) - (eps > 0)
+
+
+def _ksg_counts_window(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_ksg_counts_brute's counts for rows of more than W points and k < W:
+    windows over each row sorted by x give eps, a point that fails its
+    window's check gets eps from its full row, and both counts come from
+    binary searches of the sorted margins."""
+
+    def unsort(order, rows):
+        out = np.empty(rows.shape, dtype=rows.dtype)
+        np.put_along_axis(out, order, rows, 1)
+        return out
+
+    ox = np.argsort(x, axis=1, kind="stable")
+    eps, ok = (unsort(ox, a) for a in _window_eps(np.take_along_axis(x, ox, 1), np.take_along_axis(y, ox, 1), k))
+    row, point = np.nonzero(~ok)
+    eps[row, point] = _ksg_eps_points(x, y, k, row, point)
+    oy = np.argsort(y, axis=1, kind="stable")
+    return _strip_counts(x, ox, eps), _strip_counts(y, oy, eps)
+
+
+def _ksg_counts(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal neighbour counts (nx, ny) of every point of each row sample:
+    all pairs for rows no wider than one window, sorted windows above."""
+    width = _WINDOW_GROUP + 2 * _WINDOW_MARGIN
+    if x.shape[1] <= width or k >= width:
+        return _ksg_counts_brute(x, y, k)
+    return _ksg_counts_window(x, y, k)
+
+
 def _ksg_rows(x1: np.ndarray, x2: np.ndarray, ks) -> list[np.ndarray]:
     """KSG estimate of each row at each k in ks; the rows are standardized
     once for all k."""
@@ -270,7 +422,7 @@ def _ksg_rows(x1: np.ndarray, x2: np.ndarray, ks) -> list[np.ndarray]:
     t = digamma_table(n)
     terms = []
     for k in ks:
-        nx, ny = _ksg_counts_brute(z1, z2, k)
+        nx, ny = _ksg_counts(z1, z2, k)
         terms.append(t[k] - np.mean(t[nx + 1] + t[ny + 1], axis=-1) + t[n])
     return terms
 

@@ -308,7 +308,7 @@ def _load_json(path: Path) -> dict:
         raise SchemaError(f"{path.name}: missing")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path.name}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path.name}: top level must be an object")

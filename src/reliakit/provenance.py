@@ -290,7 +290,7 @@ def _load_gate_config(workspace: Path) -> dict:
         raise SchemaError(f"{GATE_CONFIG}: missing")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{GATE_CONFIG}: invalid JSON ({exc})") from None
     for key in ("schema_version", "pinned_tier_counts", "pinned_digests"):
         if key not in doc:

@@ -185,7 +185,7 @@ def parse_contract(path: str | Path) -> ContractRegistry:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ContractParseError(f"contract file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContractParseError(f"contract is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ContractParseError("contract document must be a JSON object")

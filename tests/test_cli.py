@@ -263,6 +263,18 @@ def test_cli_unreadable_table_exits_2(tmp_path, capsys, body, message):
     assert message in capsys.readouterr().err
 
 
+def test_cli_contract_not_utf8_exits_2(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    main(["run", "--mode", "smoke", "--workspace", str(ws), "--out", str(tmp_path / "o1"),
+          "--bootstrap", "20"])
+    (ws / "contracts" / "measures.json").write_bytes(b'{"x": "\xff"}')
+    capsys.readouterr()
+    code = main(["run", "--mode", "smoke", "--workspace", str(ws), "--out", str(tmp_path / "o2"),
+                 "--bootstrap", "20"])
+    assert code == 2
+    assert "contract is not valid JSON" in capsys.readouterr().err
+
+
 def run_both(ws, out, *flags):
     """`run` then `multiverse` in smoke mode, the outputs verify gates."""
     for command in ("run", "multiverse"):

@@ -17,7 +17,18 @@ from scipy.special import digamma as scipy_digamma
 
 from reliakit import DegenerateSampleError, EstimatorError, ksg_mi
 from reliakit import estimators
-from reliakit.estimators import _BLOCK_ELEMENTS, _ksg_counts_brute
+from reliakit.bootstrap import replicate_indices
+from reliakit.estimators import (
+    _BLOCK_ELEMENTS,
+    _WINDOW_GROUP,
+    _WINDOW_MARGIN,
+    _ksg_counts,
+    _ksg_counts_brute,
+    _ksg_counts_window,
+    _standardize,
+    _strip_counts,
+    _window_eps,
+)
 
 from conftest import gauss_pairs, make_sample
 
@@ -72,12 +83,16 @@ def test_matches_loop_oracle_on_random_samples():
     assert checked == 25
 
 
+WIDTH = _WINDOW_GROUP + 2 * _WINDOW_MARGIN  # widest row counted all-pairs
+
+
 @pytest.mark.parametrize("ties", [False, True])
-@pytest.mark.parametrize("n", [181, 182, 256, 600])
+@pytest.mark.parametrize("n", [WIDTH, WIDTH + 1, 181, 182, 256, 600])
 def test_matches_loop_oracle_across_block_boundaries(n, ties):
-    # 181 x 181 distance elements fill one block; from n = 182 on a sample's
-    # query rows are split: 180 + 2 rows, 2 x 128, and 11 x 54 + 6
-    assert _BLOCK_ELEMENTS == 1 << 15
+    # rows of up to WIDTH = 112 points are counted all-pairs, wider ones in
+    # sorted windows. 181 x 181 all-pairs elements would fill one block;
+    # from n = 182 on, a sample's query rows would be split
+    assert _BLOCK_ELEMENTS == 1 << 15 and WIDTH == 112
     rng = np.random.default_rng(n)
     if ties:
         s = make_sample(rng.integers(0, 8, size=n), rng.integers(0, 8, size=n))
@@ -114,6 +129,115 @@ def test_blocked_counts_equal_full_matrix_on_tied_data(data, k, support):
         assert np.array_equal(ny[row], want_y)
 
 
+def _window_rows(kind, seed, m, n):
+    """(m, n) rows of one kind, standardized as the estimator sees them."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        x, y = rng.integers(0, 4, size=(2, m, n)).astype(np.float64)
+    elif kind == "bootstrap":
+        # rows gathered by replicate indices: duplicates sit at distance 0
+        base = rng.standard_normal((2, n))
+        idx = replicate_indices(seed, 0, m, n)
+        x, y = base[0][idx], 0.6 * base[0][idx] + 0.8 * base[1][idx]
+    else:
+        x = rng.standard_normal((m, n))
+        y = float(rng.uniform(-0.9, 0.9)) * x + rng.standard_normal((m, n))
+        if kind == "constant x":
+            x = np.full((m, n), 3.0)
+        elif kind == "constant y":
+            y = np.full((m, n), -1.0)
+    return _standardize(x), _standardize(y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["gauss", "ties", "bootstrap", "constant x", "constant y"]),
+    seed=st.integers(0, 2**32 - 1),
+    group=st.integers(1, 3),
+    margin=st.integers(3, 4),
+    k=st.integers(1, 6),
+    extra=st.integers(0, 40),
+    m=st.integers(1, 4),
+)
+def test_window_counts_equal_all_pairs(kind, seed, group, margin, k, extra, m):
+    # small windows, so that rows of a few dozen points have windows shifted
+    # at both row edges, points whose eps falls back to the full row, and
+    # n = W and n = W + 1
+    width = group + 2 * margin
+    n = width + extra
+    x, y = _window_rows(kind, seed, m, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_WINDOW_GROUP", group)
+        mp.setattr(estimators, "_WINDOW_MARGIN", margin)
+        window = _ksg_counts_window(x, y, k)
+        chosen = _ksg_counts(x, y, k)
+    brute = _ksg_counts_brute(x, y, k)
+    for got in (window, chosen):
+        assert np.array_equal(got[0], brute[0]) and np.array_equal(got[1], brute[1])
+    for row in range(m):
+        want_x, want_y = _full_matrix_counts(x[row], y[row], k)
+        assert np.array_equal(window[0][row], want_x)
+        assert np.array_equal(window[1][row], want_y)
+
+
+def test_window_check_fails_on_some_points_and_counts_stay_exact(monkeypatch):
+    # with windows of 2 + 2 * 3 points, Gaussian rows of 60 points have
+    # points whose x window misses a joint neighbour; their eps comes from
+    # the full row
+    monkeypatch.setattr(estimators, "_WINDOW_GROUP", 2)
+    monkeypatch.setattr(estimators, "_WINDOW_MARGIN", 3)
+    checks = []
+
+    def window_eps(*args):
+        eps, ok = _window_eps(*args)
+        checks.append(ok)
+        return eps, ok
+
+    monkeypatch.setattr(estimators, "_window_eps", window_eps)
+    x, y = _window_rows("gauss", 5, 3, 60)
+    nx, ny = _ksg_counts(x, y, 4)
+    assert len(checks) == 1 and checks[0].any() and not checks[0].all()
+    want = _ksg_counts_brute(x, y, 4)
+    assert np.array_equal(nx, want[0]) and np.array_equal(ny, want[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["gauss", "ties", "bootstrap", "constant x", "tiny"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 70),
+    m=st.integers(1, 4),
+)
+def test_strip_counts_equal_direct_count(kind, seed, n, m):
+    # eps drawn from the row's own pairwise distances, their neighbouring
+    # floats and 0, so that points sit exactly on, just inside and just
+    # outside every boundary; n = 2, 3 and every power of two up to 64
+    # are in range for the binary search
+    x, _ = _window_rows("gauss" if kind == "tiny" else kind, seed, m, n)
+    if kind == "tiny":
+        # subtractions that round: values far apart in magnitude
+        x = x * np.ldexp(1.0, np.random.default_rng(seed).integers(-60, 60, size=(m, n)))
+    rng = np.random.default_rng(seed)
+    d = np.abs(x[:, :, None] - x[:, None, :])
+    pick = d[np.arange(m)[:, None], np.arange(n), rng.integers(0, n, size=(m, n))]
+    eps = np.choose(rng.integers(0, 4, size=(m, n)), [
+        pick, np.nextafter(pick, np.inf), np.nextafter(pick, 0.0), np.zeros((m, n))
+    ])
+    got = _strip_counts(x, np.argsort(x, axis=1), eps)
+    want = (d < eps[:, :, None]).sum(axis=2) - (eps > 0)
+    assert np.array_equal(got, want)
+
+
+def test_rows_no_wider_than_a_window_are_counted_all_pairs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(estimators, "_ksg_counts_window", lambda *a: calls.append(a[0].shape))
+    x, y = _window_rows("gauss", 3, 2, WIDTH)
+    nx, ny = _ksg_counts(x, y, 4)
+    assert calls == [] and np.array_equal(nx, _ksg_counts_brute(x, y, 4)[0])
+    _ksg_counts(*_window_rows("gauss", 3, 2, WIDTH + 1), 4)
+    assert calls == [(2, WIDTH + 1)]
+
+
 def _tied_rows(rng, m, n, support):
     x = rng.integers(0, support + 1, size=(m, n)).astype(np.float64)
     y = rng.integers(0, support + 1, size=(m, n)).astype(np.float64)
@@ -142,8 +266,9 @@ def test_counts_leave_inputs_untouched_and_keep_no_module_state():
     rng = np.random.default_rng(223)
     x, y = _tied_rows(rng, 3, 182, support=3)
     x0, y0 = x.copy(), y.copy()
-    _ksg_counts_brute(x, y, 4)
-    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    for counts in (_ksg_counts_brute, _ksg_counts_window):
+        counts(x, y, 4)
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
     # no array cached at module level, so forked pool workers share nothing
     assert not [name for name, value in vars(estimators).items() if isinstance(value, np.ndarray)]
 

@@ -21,9 +21,12 @@ from reliakit.outputs import (
     render_cell,
     validate_multiverse_csv,
     validate_provenance_json,
+    validate_summary_json,
     write_csv,
 )
+from reliakit.errors import SchemaError
 from reliakit.provenance import (
+    _load_gate_config,
     build_provenance,
     run_gate,
     write_gate_report,
@@ -432,3 +435,16 @@ def test_gate_manifest_checks_share_the_loader(smoke_run, tmp_path):
     for check_id in ("R13", "R16"):
         assert not by_id[check_id].passed
         assert "must map relative paths" in by_id[check_id].detail
+
+
+def test_gate_config_not_utf8_is_a_schema_error(tmp_path):
+    (tmp_path / "gate_config.json").write_bytes(b'{"x": "\xff"}')
+    with pytest.raises(SchemaError, match="gate_config.json: invalid JSON"):
+        _load_gate_config(tmp_path)
+
+
+def test_output_json_not_utf8_is_a_schema_error(tmp_path):
+    path = tmp_path / SUMMARY_JSON
+    path.write_bytes(b'{"x": "\xff"}')
+    with pytest.raises(SchemaError, match="summary.json: invalid JSON"):
+        validate_summary_json(path)

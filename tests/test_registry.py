@@ -173,6 +173,13 @@ def test_missing_file_and_bad_json(tmp_path):
         load_contract(path)
 
 
+def test_contract_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"x": "\xff"}')
+    with pytest.raises(ContractParseError, match="not valid JSON"):
+        load_contract(path)
+
+
 def test_headline_eligibility(tmp_path):
     registry = load_contract(write_doc(tmp_path, contract_doc()))
     entry = assert_headline_eligible("stroop_contrast", registry)
