@@ -47,7 +47,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="workspace root; the registry is its contracts/measures.json (default: .)",
     )
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--workers", type=_positive_int, default=1, help="parallel workers")
+    parser.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="at most this many worker processes; work too small to pay for "
+        "a process pool runs serially (default 1)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

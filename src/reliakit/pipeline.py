@@ -8,10 +8,16 @@ sample is pickled once. Each cell still owns a derived seed stream, and the
 cells are joined back in spec-major order (every measure under the first
 specification, then the second, ...), so the worker count is invisible in
 the outputs: a parallel run merges to the same bytes as a serial one.
+
+The worker count is an upper bound. _pool_size estimates the command's
+work from the tasks it is handed and starts a process pool only when each
+process gets at least _POOL_MIN_WORK of it; a smaller command runs
+serially in the calling process.
 """
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +63,30 @@ from .registry import ContractRegistry, load_contract
 SMOKE_DEFAULT_B = 200
 FINAL_DEFAULT_B = 5000
 
+# Least estimated work, in pair distances, that pays for one pool process.
+# A task of S specifications over a sample of n evaluates S * b replicate
+# rows and n deletion rows of about n**2 pair distances each. On the smoke
+# fixture (2 CPUs, fresh interpreters, median of 5 runs) serial time over
+# the time with a pool of 2 was, for `run`, 0.53 at 0.54 M of work (B =
+# 200), 0.68 at 1.3 M, 0.94 at 2.5 M and 1.28 at 4.9 M; for `multiverse`,
+# 1.09 at 0.6 M (B = 10), 1.22 at 1.2 M, 1.63 at 1.8 M and 1.54 at 12 M (B =
+# 200). Two processes start from 2 * _POOL_MIN_WORK = 2.1 M, between the
+# two break-evens: the estimate leaves out each cell's fixed cost, and the
+# multiverse's 144 cells pay more of it than the run's 6.
+_POOL_MIN_WORK = 1 << 20
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int: an int or numpy integer, never a bool, a
+    float or anything else, which would fail deep inside a command after
+    the smoke workspace is written."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
 
 @dataclass
 class RunConfig:
@@ -72,8 +102,12 @@ class RunConfig:
             raise ValueError(f"mode must be smoke or final, got {self.mode!r}")
         self.workspace = Path(self.workspace)
         self.out_dir = Path(self.out_dir)
-        if self.bootstrap_b is not None and not 1 <= self.bootstrap_b <= MAX_B:
-            raise ValueError(f"bootstrap_b must be in [1, 2**32], got {self.bootstrap_b}")
+        self.base_seed = _integer("base_seed", self.base_seed)
+        if self.bootstrap_b is not None:
+            self.bootstrap_b = _integer("bootstrap_b", self.bootstrap_b)
+            if not 1 <= self.bootstrap_b <= MAX_B:
+                raise ValueError(f"bootstrap_b must be in [1, 2**32], got {self.bootstrap_b}")
+        self.workers = _integer("workers", self.workers)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -111,10 +145,18 @@ def _measure_task(args) -> list[MultiverseCell]:
     return run_measure(specs, sample, base_seed, b)
 
 
+def _pool_size(tasks: list, workers: int) -> int:
+    """Processes worth starting for tasks: at most workers, one per task,
+    and one per _POOL_MIN_WORK of estimated work. At most 1 means serial."""
+    work = sum((len(specs) * b + sample.n) * sample.n**2 for specs, sample, _, b in tasks)
+    return min(workers, len(tasks), work // _POOL_MIN_WORK)
+
+
 def _run_measures(tasks: list, workers: int) -> list[list[MultiverseCell]]:
-    if workers == 1 or len(tasks) <= 1:
+    processes = _pool_size(tasks, workers)
+    if processes <= 1:
         return [_measure_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(_measure_task, tasks))
 
 

@@ -313,7 +313,7 @@ def test_acceptance_09_grid_and_multiverse_shape(tmp_path):
     )
 
 
-def test_acceptance_10_byte_determinism(tmp_path):
+def test_acceptance_10_byte_determinism(tmp_path, forced_pool):
     ws = tmp_path / "ws"
     outs = [tmp_path / f"out{i}" for i in range(4)]
     for out, workers in zip(outs[:3], (1, 1, 2)):
@@ -335,7 +335,8 @@ def test_acceptance_10_byte_determinism(tmp_path):
         return {name: (out / name).read_bytes() for name in names}
 
     repeat_ok = snapshot(outs[0]) == snapshot(outs[1])
-    worker_ok = snapshot(outs[0]) == snapshot(outs[2])
+    # the workers=2 run and multiverse each ran in a real pool of 2
+    worker_ok = snapshot(outs[0]) == snapshot(outs[2]) and forced_pool == [2, 2]
     seeded = RunConfig(
         mode="smoke", workspace=ws, out_dir=outs[3], bootstrap_b=60, base_seed=99
     )

@@ -2,11 +2,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from reliakit import RunConfig, cmd_multiverse, cmd_run
+from conftest import make_sample
+from reliakit import RunConfig, build_grid, cmd_multiverse, cmd_run, pipeline
 from reliakit.bootstrap import MAX_B
 from reliakit.cli import build_parser, main
+from reliakit.fixtures import ensure_smoke_workspace
+from reliakit.multiverse import DEFAULT_SPEC
 from reliakit.outputs import (
     DIGESTED_OUTPUTS,
     MULTIVERSE_CSV,
@@ -14,6 +18,7 @@ from reliakit.outputs import (
     PER_MEASURE_CSV,
     PROVENANCE_JSON,
 )
+from reliakit.registry import load_contract
 
 
 def read_outputs(out_dir, names=DIGESTED_OUTPUTS):
@@ -40,6 +45,25 @@ def test_run_config_validation(tmp_path):
     assert RunConfig(
         mode="smoke", workspace=tmp_path, out_dir=tmp_path, bootstrap_b=77
     ).resolved_b == 77
+
+
+@pytest.mark.parametrize("field", ["base_seed", "bootstrap_b", "workers"])
+@pytest.mark.parametrize("value", [True, False, 2.5, 2.0, "3"])
+def test_run_config_rejects_non_integers(tmp_path, field, value):
+    """A bool, float or string is refused when the config is built, before
+    a command writes anything."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        RunConfig(mode="smoke", workspace=tmp_path / "ws", out_dir=tmp_path / "out",
+                  **{field: value})
+    assert not (tmp_path / "ws").exists()
+
+
+@pytest.mark.parametrize("field", ["base_seed", "bootstrap_b", "workers"])
+def test_run_config_accepts_numpy_integers(tmp_path, field):
+    config = RunConfig(mode="smoke", workspace=tmp_path, out_dir=tmp_path,
+                       **{field: np.int64(3)})
+    value = getattr(config, field)
+    assert value == 3 and type(value) is int
 
 
 def test_cmd_run_is_byte_deterministic(tmp_path):
@@ -71,7 +95,7 @@ def test_cmd_run_seed_changes_intervals(tmp_path):
     ).read_bytes()
 
 
-def test_cmd_multiverse_worker_invariance(tmp_path):
+def test_cmd_multiverse_worker_invariance(tmp_path, forced_pool):
     ws = tmp_path / "ws"
     out1 = tmp_path / "serial"
     out2 = tmp_path / "parallel"
@@ -85,6 +109,72 @@ def test_cmd_multiverse_worker_invariance(tmp_path):
     assert (out1 / MULTIVERSE_SUMMARY_JSON).read_bytes() == (
         out2 / MULTIVERSE_SUMMARY_JSON
     ).read_bytes()
+    assert forced_pool == [2]
+
+
+def _tasks(works):
+    """One task per work figure: one specification over a sample of one
+    subject, so a task's work is b + 1 pair distances."""
+    sample = make_sample([0.0], [0.0])
+    return [([DEFAULT_SPEC], sample, 42, w - 1) for w in works]
+
+
+T = pipeline._POOL_MIN_WORK
+
+
+@pytest.mark.parametrize(
+    "works, workers, processes",
+    [
+        ([], 4, 0),
+        ([10 * T], 4, 1),  # one task
+        ([T, T], 2, 2),
+        ([T, T - 1], 2, 1),  # 2 * T - 1 pays for one process
+        ([T // 2] * 6, 2, 2),
+        ([T // 4] * 6, 2, 1),
+        ([5 * T] * 3, 8, 3),  # never more processes than tasks
+        ([5 * T] * 3, 1, 1),  # never more than workers
+        ([5 * T] * 3, 2, 2),
+    ],
+)
+def test_pool_size_table(works, workers, processes):
+    assert pipeline._pool_size(_tasks(works), workers) == processes
+
+
+def test_pool_size_counts_specs_and_subjects():
+    sample = make_sample(np.arange(20.0), np.arange(20.0))
+    # (24 * 50 + 20) * 20**2 = 488,000 pair distances per task
+    grid = [(build_grid(), sample, 42, 50)] * 6
+    assert pipeline._pool_size(grid, 8) == min(6, 6 * 488_000 // T)
+    # (1 * 50 + 20) * 20**2 = 28,000
+    single = [([DEFAULT_SPEC], sample, 42, 50)] * 6
+    assert pipeline._pool_size(single, 8) == min(6, 6 * 28_000 // T)
+
+
+def test_smoke_commands_sit_on_either_side_of_the_pool_threshold(tmp_path):
+    """The documented smoke quick start (B = 200, 2 workers): `run` is too
+    small to pay for a pool and runs serially, the multiverse starts 2."""
+    ws = tmp_path / "ws"
+    ensure_smoke_workspace(ws)
+    registry = load_contract(ws / "contracts" / "measures.json")
+    _, samples, _ = pipeline._load_samples(ws, registry)
+    for specs, processes in (([DEFAULT_SPEC], 0), (build_grid(), 2)):
+        tasks = [(specs, s, 42, 200) for s in samples.values()]
+        assert pipeline._pool_size(tasks, 2) == processes
+
+
+def test_small_run_with_workers_starts_no_pool(tmp_path, monkeypatch):
+    """A smoke run at B = 200 and workers=2 runs serially and writes the
+    bytes of a workers=1 run."""
+    ws = tmp_path / "ws"
+    names = (PER_MEASURE_CSV, "summary.json", "ingest_evidence.json")
+    cmd_run(RunConfig(mode="smoke", workspace=ws, out_dir=tmp_path / "serial", workers=1))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    cmd_run(RunConfig(mode="smoke", workspace=ws, out_dir=tmp_path / "two", workers=2))
+    assert read_outputs(tmp_path / "serial", names) == read_outputs(tmp_path / "two", names)
 
 
 def test_cli_run_exit_zero(tmp_path, capsys):
