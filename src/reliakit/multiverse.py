@@ -17,6 +17,7 @@ order, on any number of workers, and still match a serial run bit for bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -31,9 +32,11 @@ from .estimators import (
     clamped_gaussian_mi,
     correlation,
     icc,
+    ksg_deletion_terms,
     ksg_mi,
     nlr_delta_rows,
     nlr_terms_rows,
+    uses_deletion_candidates,
 )
 from .inference import (
     STATUS_DEGENERATE,
@@ -49,6 +52,20 @@ CORR_GRID = (CorrMethod.PEARSON, CorrMethod.SPEARMAN)
 N_MIN_GRID = (10, 15, 20)
 
 
+def _positive_int(name: str, value) -> int:
+    """value as a Python int: a positive int or numpy integer, never a bool
+    or a float."""
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if number >= 1:
+                return number
+    raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Specification:
     k: int
@@ -57,9 +74,11 @@ class Specification:
 
     def __post_init__(self) -> None:
         # a bool or float k would share a dict key with an int k in a
-        # measure's shared terms (True == 1, 4.0 == 4)
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        # measure's shared terms (True == 1, 4.0 == 4), and a float n_min
+        # would print into spec_id (nmin10.5); numpy integers are stored as
+        # the int they equal, so spec_id and the keys stay those of an int
+        for name in ("k", "n_min"):
+            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
 
     @property
     def spec_id(self) -> str:
@@ -97,9 +116,13 @@ class MeasureTerms:
     evaluated once for the given specifications (all with n >= n_min).
 
     A term the sample does not admit is None, and makes every cell that
-    needs it degenerate. The leave-one-out terms are evaluated, in blocks,
-    only for the k and methods of cells that are still estimable; each of
-    their rows is NaN where nlr() would raise on that deletion.
+    needs it degenerate. The leave-one-out terms are evaluated only for the
+    k and methods of cells that are still estimable; each of their rows is
+    NaN where nlr() would raise on that deletion. The Gaussian baselines
+    come from the deletion rows, in blocks. So do the KSG terms of samples
+    of at most W + 1 = 113 pairs; above that ksg_deletion_terms finds them
+    from the observed sample's nearest neighbours, with the same bits
+    (uses_deletion_candidates).
     """
 
     def __init__(self, sample: PairedSample, specs: list[Specification]) -> None:
@@ -111,14 +134,18 @@ class MeasureTerms:
         live = [s for s in specs if self.estimable(s)]
         ks = list(dict.fromkeys(s.k for s in live))
         methods = list(dict.fromkeys(s.corr_method for s in live))
-        jack_ksg = np.empty((len(ks), sample.n))
+        near_ks = [k for k in ks if uses_deletion_candidates(sample.n, k)]
+        row_ks = [k for k in ks if k not in near_ks]
+        jack_ksg = np.empty((len(row_ks), sample.n))
         jack_gauss = np.empty((len(methods), sample.n))
         if live:
             for start, stop, x1, x2 in deletion_blocks(sample):
                 jack_ksg[:, start:stop], jack_gauss[:, start:stop] = nlr_terms_rows(
-                    x1, x2, ks, methods
+                    x1, x2, row_ks, methods
                 )
-        self.jack_ksg = dict(zip(ks, jack_ksg))
+        self.jack_ksg = dict(zip(row_ks, jack_ksg))
+        if near_ks:
+            self.jack_ksg.update(zip(near_ks, ksg_deletion_terms(sample.x1, sample.x2, near_ks)))
         self.jack_gauss = dict(zip(methods, jack_gauss))
 
     def estimable(self, spec: Specification) -> bool:

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma as scipy_digamma
 
-from reliakit import DegenerateSampleError, EstimatorError, ksg_mi
+from reliakit import DegenerateSampleError, EstimatorError, ksg_mi, nlr
 from reliakit import estimators
-from reliakit.bootstrap import replicate_indices
+from reliakit.bootstrap import deletion_blocks, replicate_indices
 from reliakit.estimators import (
     _BLOCK_ELEMENTS,
     _WINDOW_GROUP,
@@ -28,6 +28,9 @@ from reliakit.estimators import (
     _standardize,
     _strip_counts,
     _window_eps,
+    ksg_deletion_terms,
+    nlr_terms_rows,
+    uses_deletion_candidates,
 )
 
 from conftest import gauss_pairs, make_sample
@@ -238,6 +241,94 @@ def test_rows_no_wider_than_a_window_are_counted_all_pairs(monkeypatch):
     assert calls == [(2, WIDTH + 1)]
 
 
+def _deletion_rows_terms(sample, ks):
+    """The KSG terms of the deletion rows, counted row by row."""
+    out = np.empty((len(ks), sample.n))
+    for start, stop, x1, x2 in deletion_blocks(sample):
+        out[:, start:stop] = nlr_terms_rows(x1, x2, ks, ())[0]
+    return out
+
+
+def _deletion_sample(kind, seed, n):
+    rng = np.random.default_rng(seed)
+    x, e = rng.standard_normal((2, n))
+    y = 0.6 * x + 0.8 * e
+    if kind == "rounded":
+        # accuracy-like scores: exact ties, many points at equal distances
+        x, y = np.round(2.0 * x) / 2.0, np.round(2.0 * y) / 2.0
+    elif kind == "x ties":
+        x = np.round(x)
+    elif kind == "outlier":
+        # its deletion shrinks both sd, the others stretch them a little
+        x[rng.integers(n)], y[rng.integers(n)] = 40.0, -25.0
+    elif kind == "cluster":
+        x, y = 1e-6 * x + 3.0, 1e-6 * y - 2.0
+    elif kind == "constant":
+        x = np.full(n, 0.75)
+    elif kind == "ceiling":
+        # one subject off the ceiling: its deletion leaves a constant session
+        x = np.ones(n)
+        x[rng.integers(n)] = 0.9
+    elif kind == "offset":
+        x, y = x + 1e7, y - 3e7
+    return make_sample(x, y)
+
+
+DELETION_KINDS = ["gauss", "rounded", "x ties", "outlier", "cluster", "constant", "ceiling", "offset"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(DELETION_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30) | st.integers(110, 150),
+    ks=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
+)
+def test_deletion_terms_equal_the_deletion_rows(kind, seed, n, ks):
+    # from n = 114 on the deletion rows are counted in sorted windows, below
+    # all pairs; the terms equal either, NaN where a deletion has k pairs
+    sample = _deletion_sample(kind, seed, n)
+    got = ksg_deletion_terms(sample.x1, sample.x2, ks)
+    assert np.array_equal(got, _deletion_rows_terms(sample, ks), equal_nan=True)
+
+
+def test_deletion_terms_check_their_eps(monkeypatch):
+    # on tied data some points cannot be shown to have their nearest
+    # neighbours among the candidates; their eps comes from the full row
+    fallback = []
+    eps_points_of_rows = estimators._ksg_eps_points
+
+    def eps_points(x, y, k, row, point):
+        fallback.append(row.size)
+        return eps_points_of_rows(x, y, k, row, point)
+
+    monkeypatch.setattr(estimators, "_ksg_eps_points", eps_points)
+    for kind, checked in (("gauss", False), ("rounded", True)):
+        fallback.clear()
+        sample = _deletion_sample(kind, 7, 130)
+        got = ksg_deletion_terms(sample.x1, sample.x2, (3, 6))
+        assert (sum(fallback) > 0) == checked
+        assert np.array_equal(got, _deletion_rows_terms(sample, (3, 6)))
+
+
+def test_deletion_candidates_where_deletions_are_windowed():
+    assert not uses_deletion_candidates(WIDTH + 1, 4)
+    assert uses_deletion_candidates(WIDTH + 2, 4)
+    assert uses_deletion_candidates(600, WIDTH - 1)
+    assert not uses_deletion_candidates(600, WIDTH)
+
+
+def test_deletion_terms_reject_bad_input():
+    x = np.arange(6.0)
+    with pytest.raises(EstimatorError):
+        ksg_deletion_terms(x, np.append(x[:-1], np.nan), (2,))
+    with pytest.raises(EstimatorError):
+        ksg_deletion_terms(x, x[:-1], (2,))
+    with pytest.raises(EstimatorError):
+        ksg_deletion_terms(x, x, (0,))
+    assert np.isnan(ksg_deletion_terms(x, x, (5,))).all()
+
+
 def _tied_rows(rng, m, n, support):
     x = rng.integers(0, support + 1, size=(m, n)).astype(np.float64)
     y = rng.integers(0, support + 1, size=(m, n)).astype(np.float64)
@@ -325,11 +416,20 @@ def test_tracks_gaussian_truth_at_moderate_n():
     assert float(np.median(errors)) < 0.05
 
 
-@pytest.mark.parametrize("bad_k", [0, -1, 2.0, True])
+@pytest.mark.parametrize("bad_k", [0, -1, 2.0, True, np.float64(4.0), np.int64(0), "4"])
 def test_rejects_bad_k(bad_k):
     s = gauss_pairs(np.random.default_rng(3), 20, rho=0.2)
     with pytest.raises(EstimatorError):
         ksg_mi(s, k=bad_k)
+    with pytest.raises(EstimatorError):
+        nlr(s, k=bad_k)
+
+
+def test_accepts_numpy_integer_k():
+    s = gauss_pairs(np.random.default_rng(3), 20, rho=0.2)
+    assert ksg_mi(s, k=np.int64(4)) == ksg_mi(s, k=4)
+    value = nlr(s, k=np.int32(4))
+    assert value == nlr(s, k=4) and type(value.k) is int
 
 
 def test_needs_more_points_than_k():

@@ -15,7 +15,15 @@ from reliakit.bootstrap import (
     resample_statistic,
 )
 from reliakit.errors import BootstrapFailureError, EstimatorError
-from reliakit.estimators import CorrMethod, IccVariant, icc, nlr, nlr_delta_rows
+from reliakit import multiverse
+from reliakit.estimators import (
+    CorrMethod,
+    IccVariant,
+    icc,
+    ksg_deletion_terms,
+    nlr,
+    nlr_delta_rows,
+)
 from reliakit.inference import (
     STATUS_DEGENERATE,
     STATUS_INSUFFICIENT_N,
@@ -42,10 +50,26 @@ def test_grid_shape_and_order():
     assert DEFAULT_SPEC.spec_id == "k4_pearson_nmin10"
 
 
-@pytest.mark.parametrize("bad_k", [0, -1, True, 4.0])
+@pytest.mark.parametrize("bad_k", [0, -1, True, 4.0, np.int64(0), "4"])
 def test_specification_rejects_bad_k(bad_k):
     with pytest.raises(ValueError):
         Specification(bad_k, CorrMethod.PEARSON, 10)
+
+
+@pytest.mark.parametrize("bad_n_min", [0, -3, True, 10.5, 10.0, np.float64(10.0), "10"])
+def test_specification_rejects_bad_n_min(bad_n_min):
+    with pytest.raises(ValueError):
+        Specification(4, CorrMethod.PEARSON, bad_n_min)
+
+
+def test_specification_stores_numpy_integers_as_int():
+    spec = Specification(np.int64(4), CorrMethod.PEARSON, np.int32(10))
+    assert type(spec.k) is int and type(spec.n_min) is int
+    assert spec == DEFAULT_SPEC and hash(spec) == hash(DEFAULT_SPEC)
+    assert spec.spec_id == "k4_pearson_nmin10"
+    assert [s.spec_id for s in build_grid()] == [
+        f"k{k}_{corr.value}_nmin{n_min}" for k in K_GRID for corr in CORR_GRID for n_min in (10, 15, 20)
+    ]
 
 
 def test_run_cell_ok_status_fields():
@@ -341,10 +365,21 @@ def test_engine_on_constant_session_is_degenerate():
     assert {c.estimate.status for c in cells} == {STATUS_DEGENERATE, STATUS_INSUFFICIENT_N}
 
 
-@pytest.mark.parametrize("n", [181, 182])
-def test_engine_across_the_block_boundary(n):
-    # from n = 182 on one sample's distance matrix no longer fits a count
-    # block; at n = 181 the deletion rows (180 pairs) still do
+@pytest.mark.parametrize("n", [113, 114, 181, 182])
+def test_engine_across_the_block_boundary(n, monkeypatch):
+    # from n = 114 on the deletion rows are wider than a window (112 points)
+    # and their KSG terms come from the observed sample's nearest
+    # neighbours; at n = 113 they are counted all pairs. From n = 182 on
+    # one sample's distance matrix no longer fits a count block; at n = 181
+    # the deletion rows (180 pairs) still do
+    calls = []
+
+    def deletion_terms(x1, x2, ks):
+        calls.append(ks)
+        return ksg_deletion_terms(x1, x2, ks)
+
+    monkeypatch.setattr(multiverse, "ksg_deletion_terms", deletion_terms)
     sample = gauss_pairs(np.random.default_rng(n), n, rho=0.4)
     cells = assert_engine_equals_oracle(build_grid(), sample, 9, 6)
     assert {c.estimate.status for c in cells} == {STATUS_OK}
+    assert bool(calls) == (n > 113)
