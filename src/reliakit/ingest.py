@@ -8,22 +8,25 @@ each measure's sample is built from those columns.
 
 csv.reader with the default dialect defines the table's format. Most
 tables are plain, though: no quotes, no carriage returns, six fields on
-every line. On such lines csv.reader splits exactly where str.split(",")
-does, so the reader splits plain chunks of lines with one str.split and
+every line. On such lines csv.reader splits exactly at the commas, so the
+reader finds the commas and newlines of a chunk of plain lines in one numpy
+pass over its bytes and codes each column by its distinct byte strings. It
 hands the rest of the file to csv.reader at the first chunk that is not
-plain.
+plain, or that the byte path cannot parse (a wide field, an rt_ms that
+float() parses only from a str, a bad value).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import Path
-from typing import NoReturn, TextIO
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -227,24 +230,38 @@ def _parse_accuracy(text: str, next_code: int) -> int | None:
     return value if value in (0, 1) else None
 
 
-def _encode(
-    values: Sequence[str],
+def _level_codes(
+    texts: Iterable[str],
     levels: dict[str, int],
     parse: Callable[[str, int], int | None],
-) -> np.ndarray | None:
-    """Map each string to its code. An unseen string's code is
+) -> list[int] | None:
+    """The code of each distinct string. An unseen string's code is
     parse(string, len(levels)), and it joins `levels`; None when parse
     refuses one of the strings."""
-    for text in dict.fromkeys(values):
+    codes = []
+    for text in texts:
         if text not in levels:
             code = parse(text, len(levels))
             if code is None:
                 return None
             levels[text] = code
+        codes.append(levels[text])
+    return codes
+
+
+def _encode(
+    values: Sequence[str],
+    levels: dict[str, int],
+    parse: Callable[[str, int], int | None],
+) -> np.ndarray | None:
+    """Map each string to its code (see _level_codes); None when parse
+    refuses one of the strings."""
+    if _level_codes(dict.fromkeys(values), levels, parse) is None:
+        return None
     return np.fromiter(map(levels.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _parse_rt(values: Sequence[str]) -> np.ndarray | None:
+def _parse_rt(values: Sequence[str | bytes]) -> np.ndarray | None:
     """Python float() of each value; None unless all are finite and >= 0."""
     try:
         rt = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
@@ -258,6 +275,18 @@ def _parse_rt(values: Sequence[str]) -> np.ndarray | None:
 _PARSERS = (_parse_identifier, _parse_identifier, _parse_session, _parse_identifier, None, _parse_accuracy)
 
 
+def _parse_columns(
+    columns: Sequence[Sequence[str]], levels: list[dict[str, int]]
+) -> list[np.ndarray] | None:
+    """The six parsed columns of a chunk of records, or None when a value
+    fails its check."""
+    parts = [
+        _parse_rt(values) if parse is None else _encode(values, seen, parse)
+        for values, seen, parse in zip(columns, levels, _PARSERS)
+    ]
+    return None if any(part is None for part in parts) else parts
+
+
 def _sorted_codes(codes: np.ndarray, levels: dict[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Re-code first-appearance codes as ranks in sorted() order."""
     names = sorted(levels)
@@ -266,31 +295,126 @@ def _sorted_codes(codes: np.ndarray, levels: dict[str, int]) -> tuple[np.ndarray
     return rank[codes], tuple(names)
 
 
-def _plain_columns(lines: list[str], field_limit: int) -> list[list[str]] | None:
-    """The six columns of a chunk of physical lines, or None unless the
-    chunk is plain: no '"', carriage return or NUL (which csv.reader
-    refuses before Python 3.11), no line longer than `field_limit`, and
-    exactly five commas on every line. csv.reader reads each plain line as
-    one record, split where str.split(",") splits it, so the whole chunk
-    is split at once and each column taken with a stride-6 slice."""
+_READ_BYTES = 1 << 20
+# widest field, in bytes, coded from the bytes of a plain chunk; a chunk
+# with a wider one goes to csv.reader, so the field words stay small
+_MAX_FIELD_BYTES = 64
+_LE_WORD = np.dtype("<u8")
+# _WORD_MASKS[k] keeps the first k bytes of a little-endian 8-byte word
+_WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=_LE_WORD)
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+# which of a plain line's six field ends is its newline
+_LINE_END = np.arange(len(LONG_CSV_COLUMNS)) == len(LONG_CSV_COLUMNS) - 1
+
+
+def _line_chunks(fh: BinaryIO) -> Iterator[bytes]:
+    """The rest of `fh` in chunks of _CHUNK_ROWS lines, each cut just after
+    its last newline; the last chunk may hold fewer lines and lack the
+    final newline."""
+    rows = _CHUNK_ROWS
+    pending: list[bytes] = []
+    count = 0  # newlines in pending
+    while block := fh.read(_READ_BYTES):
+        cuts = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n")) + 1
+        start = 0
+        for cut in cuts[rows - count - 1 :: rows].tolist():
+            yield b"".join([*pending, block[start:cut]])
+            pending, start = [], cut
+        count = (count + cuts.size) % rows
+        pending.append(block[start:])
+    if any(pending):
+        yield b"".join(pending)
+
+
+def _plain_fields(data: bytes, field_limit: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (lines, 6) byte offsets and lengths of the fields of a chunk of
+    lines that ends in a newline, or None unless the chunk is plain: no
+    '"', carriage return or NUL (which csv.reader refuses before Python
+    3.11), exactly five commas and then a newline on every line, and no
+    field longer than `field_limit` bytes. csv.reader reads each plain line
+    as one record whose fields lie between those commas."""
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return None
     width = len(LONG_CSV_COLUMNS)
-    text = "".join(lines)
-    if '"' in text or "\r" in text or "\0" in text:
+    text = np.frombuffer(data, np.uint8)
+    newline = text == ord("\n")
+    ends = np.flatnonzero(newline | (text == ord(",")))
+    if ends.size % width or (newline[ends].reshape(-1, width) != _LINE_END).any():
         return None
-    if max(map(len, lines)) > field_limit or set(map(str.count, lines, repeat(","))) != {width - 1}:
+    lines = ends.size // width
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    starts, ends = starts.reshape(lines, width), ends.reshape(lines, width)
+    lengths = ends - starts
+    if lengths.max() > field_limit:
         return None
-    fields = text.replace("\n", ",").split(",")
-    del fields[width * len(lines) :]  # the empty field after a final newline
-    return [fields[k::width] for k in range(width)]
+    return starts, lengths
+
+
+def _field_words(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One column's fields as rows of little-endian 8-byte words, zero past
+    each field's end: `words` holds the word at every byte offset."""
+    columns = -(-int(lengths.max()) // 8) or 1
+    out = np.empty((starts.size, columns), dtype=_LE_WORD)
+    for j in range(columns):
+        out[:, j] = words[starts + 8 * j] & _WORD_MASKS[np.clip(lengths - 8 * j, 0, 8)]
+    return out
+
+
+def _code_words(
+    rows: np.ndarray, levels: dict[str, int], parse: Callable[[str, int], int | None]
+) -> np.ndarray | None:
+    """Code each row of field words by its distinct bytes. Rows are grouped
+    by a hash of their words, and each row must equal its group's first
+    row word for word, so the hash only proposes the groups. None on a
+    hash collision or when parse refuses a level."""
+    key = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        key = key * _HASH_MULTIPLIER + rows[:, j]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    if (rows != rows[first][inverse]).any():
+        return None
+    names = rows[first].view(f"S{rows.shape[1] * 8}").ravel().tolist()
+    codes = _level_codes([name.decode("utf-8") for name in names], levels, parse)
+    return None if codes is None else np.array(codes, dtype=np.int32)[inverse]
+
+
+def _byte_columns(
+    data: bytes, starts: np.ndarray, lengths: np.ndarray, levels: list[dict[str, int]]
+) -> list[np.ndarray] | None:
+    """The six parsed columns of a plain chunk, read from its bytes, or
+    None when a field is longer than _MAX_FIELD_BYTES, when a value fails
+    its check, on a hash collision, or when it would need str semantics:
+    float() takes Unicode digits and spaces only from a str. Identifiers,
+    session and accuracy are coded by their distinct byte strings, each
+    decoded and parsed once; rt_ms is Python float() of each field's bytes.
+    Plain fields hold no NUL, so a field's zero-padded words give back its
+    bytes."""
+    if lengths.max() > _MAX_FIELD_BYTES:
+        return None
+    padded = data + bytes(_MAX_FIELD_BYTES)
+    words = np.ndarray((len(padded) - 7,), dtype=_LE_WORD, buffer=padded, strides=(1,))
+    parts = []
+    for column, (seen, parse) in enumerate(zip(levels, _PARSERS)):
+        rows = _field_words(words, starts[:, column], lengths[:, column])
+        if parse is None:
+            part = _parse_rt(rows.view(f"S{rows.shape[1] * 8}").ravel().tolist())
+        else:
+            part = _code_words(rows, seen, parse)
+        if part is None:
+            return None
+        parts.append(part)
+    return parts
 
 
 def _csv_chunks(
-    lines: Iterable[str], path: Path, records: int
-) -> Iterator[tuple[int, Sequence[Sequence[str]]]]:
+    lines: Iterable[str], path: Path, records: int, levels: list[dict[str, int]]
+) -> Iterator[list[np.ndarray]]:
     """csv.reader's records from `lines`, which begin `records` records
-    into the table, in chunks of _CHUNK_ROWS as (records before the chunk,
-    its six columns). Blank records are dropped; a chunk with a ragged
-    record, or one csv.reader cannot read, raises the first bad row."""
+    into the table, parsed in chunks of _CHUNK_ROWS. Blank records are
+    dropped; a chunk with a ragged record, one csv.reader cannot read, or
+    one that fails a check raises the first bad row."""
     reader = csv.reader(lines)
     while True:
         try:
@@ -308,62 +432,89 @@ def _csv_chunks(
             continue
         if widths != {len(LONG_CSV_COLUMNS)}:
             _raise_first_bad_row(path, skip)
-        yield skip, list(zip(*chunk))
+        parts = _parse_columns(list(zip(*chunk)), levels)
+        if parts is None:
+            _raise_first_bad_row(path, skip)
+        yield parts
 
 
-def _chunks(fh: TextIO, path: Path) -> Iterator[tuple[int, Sequence[Sequence[str]]]]:
-    """The records after the header in chunks, as (records before the
-    chunk, its six columns). Chunks of _CHUNK_ROWS physical lines are split
-    by _plain_columns while they are plain; the first chunk that is not,
-    and every line after it, go through csv.reader."""
+def _is_header(line: bytes) -> bool:
+    """Whether csv.reader reads `line`, the table's first line, as the one
+    record LONG_CSV_COLUMNS and nothing more. The line must end in a
+    newline and hold no other line end, so no record reaches past it."""
+    if not line.endswith(b"\n") or b"\r" in line.removesuffix(b"\r\n").removesuffix(b"\n"):
+        return False
+    try:
+        return list(csv.reader([line.decode("utf-8")])) == [list(LONG_CSV_COLUMNS)]
+    except csv.Error:
+        return False
+
+
+def _chunks(fh: BinaryIO, path: Path, levels: list[dict[str, int]]) -> Iterator[list[np.ndarray]]:
+    """The table's records after the header, parsed in chunks. After a
+    header line that csv.reader reads as the column names, chunks of
+    _CHUNK_ROWS lines are read from their bytes while they are plain (see
+    _plain_fields) and their columns pass (see _byte_columns). From any
+    other header, or from the first chunk that is not plain or does not
+    pass, on, csv.reader reads the rest of the file."""
     field_limit = csv.field_size_limit()
     records = 0
-    while lines := list(islice(fh, _CHUNK_ROWS)):
-        columns = _plain_columns(lines, field_limit)
-        if columns is None:
-            yield from _csv_chunks(chain(lines, fh), path, records)
+    first_line = fh.readline()
+    offset = len(first_line) if _is_header(first_line) else 0
+    if offset:
+        for data in _line_chunks(fh):
+            if not data.isascii():
+                data.decode("utf-8")  # raises on bytes that are not UTF-8
+            whole = data if data.endswith(b"\n") else data + b"\n"
+            fields = _plain_fields(whole, field_limit)
+            parts = None if fields is None else _byte_columns(whole, *fields, levels)
+            if parts is None:
+                break
+            yield parts
+            records += len(parts[0])
+            offset += len(data)
+        else:
             return
-        yield records, columns
-        records += len(lines)
+    fh.seek(offset)
+    text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+    if offset == 0:
+        try:
+            header = next(csv.reader(text), None)
+        except csv.Error:
+            _raise_first_bad_row(path, 0)
+        if header is None or tuple(header) != LONG_CSV_COLUMNS:
+            raise IngestError(
+                f"{path.name}: expected header {','.join(LONG_CSV_COLUMNS)}, got {header}"
+            )
+    yield from _csv_chunks(text, path, records, levels)
 
 
 def read_long_csv(path: str | Path) -> TrialTable:
     """Parse and validate the processed long table in one streaming pass.
 
-    The table is what csv.reader reads from it. Records are read in chunks
-    of _CHUNK_ROWS: while the chunks are plain (see _plain_columns) each is
-    split by one str.split, which is how csv.reader would split it; from
-    the first chunk that is not plain on, csv.reader reads the rest, so
-    quoted fields, CRLF line ends and blank lines parse as csv defines
-    them. Each column of a chunk is parsed and checked at once:
-    identifiers, session and accuracy by their distinct strings, rt_ms by
-    Python float() per value. A chunk that fails any check is re-read row
-    by row, so the error names the first bad record and its physical line.
-    Blank lines are skipped; a record with too few or too many fields, a
-    field longer than csv.field_size_limit() and bytes that are not UTF-8
-    are errors."""
+    The table is what csv.reader reads from it. After a first line that
+    csv.reader reads as the column names, the file is read in binary chunks
+    of _CHUNK_ROWS lines. While the chunks are plain (see _plain_fields),
+    each is parsed from its bytes: one numpy pass finds its commas and
+    newlines, identifiers, session and accuracy are coded by their distinct
+    byte strings, and rt_ms is Python float() of each field. From any other
+    header, or from the first chunk that is not plain or that the byte path
+    cannot parse (a field longer than _MAX_FIELD_BYTES, an rt_ms that only
+    a str parses, a bad value), on, csv.reader reads the rest, so quoted
+    fields, CRLF line ends and blank lines parse as csv defines them, and
+    its chunks' columns are parsed as strings by the same level parsers. A
+    chunk that fails any check there is re-read row by row, so the error
+    names the first bad record and its physical line. Blank lines are
+    skipped; a record with too few or too many fields, a field longer than
+    csv.field_size_limit() and bytes that are not UTF-8 are errors."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"processed table missing: {path}")
     levels: list[dict[str, int]] = [{} for _ in LONG_CSV_COLUMNS]
     columns = [[np.empty(0, np.float64 if parse is None else np.int32)] for parse in _PARSERS]
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            try:
-                header = next(csv.reader(fh), None)
-            except csv.Error:
-                _raise_first_bad_row(path, 0)
-            if header is None or tuple(header) != LONG_CSV_COLUMNS:
-                raise IngestError(
-                    f"{path.name}: expected header {','.join(LONG_CSV_COLUMNS)}, got {header}"
-                )
-            for skip, chunk in _chunks(fh, path):
-                parts = [
-                    _parse_rt(values) if parse is None else _encode(values, seen, parse)
-                    for values, seen, parse in zip(chunk, levels, _PARSERS)
-                ]
-                if any(part is None for part in parts):
-                    _raise_first_bad_row(path, skip)
+        with open(path, "rb") as fh:
+            for parts in _chunks(fh, path, levels):
                 for column, part in zip(columns, parts):
                     column.append(part)
     except UnicodeDecodeError:

@@ -302,6 +302,14 @@ def _load_gate_config(workspace: Path) -> dict:
     return doc
 
 
+_FILTER_KEYS = ("below_min", "above_max", "kept")
+
+
+def _is_count(value) -> bool:
+    """A JSON integer; true and false are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
     """Execute the promotion gate. Read-only and idempotent: the report is
     returned, not written (cmd_verify persists it)."""
@@ -438,12 +446,20 @@ def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
         if not path.is_file():
             raise SchemaError(f"{INGEST_EVIDENCE_JSON}: missing")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        measures = doc.get("measures")
+        measures = doc.get("measures") if isinstance(doc, dict) else None
         if not isinstance(measures, dict) or not measures:
             raise SchemaError(f"{INGEST_EVIDENCE_JSON}: no per-measure evidence")
         for measure_id, entry in sorted(measures.items()):
-            fc = entry["filter_counts"]
-            total = fc["below_min"] + fc["above_max"] + fc["kept"]
+            fc = entry.get("filter_counts") if isinstance(entry, dict) else None
+            if not (
+                isinstance(fc, dict)
+                and all(map(_is_count, (entry.get("row_count"), *map(fc.get, _FILTER_KEYS))))
+            ):
+                raise SchemaError(
+                    f"{INGEST_EVIDENCE_JSON}: {measure_id}: needs an integer row_count and "
+                    "integer filter_counts below_min, above_max and kept"
+                )
+            total = sum(map(fc.get, _FILTER_KEYS))
             if total != entry["row_count"]:
                 raise SchemaError(
                     f"{measure_id}: filter counts {total} != row_count {entry['row_count']}"

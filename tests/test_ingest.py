@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import tempfile
 from itertools import islice
 from pathlib import Path
@@ -672,13 +673,19 @@ def csv_reader_long_csv(path):
 
 
 # per column: values that pass, including leading and trailing spaces, NUL
-# and characters that str.splitlines() but not csv.reader ends lines at
+# and characters that str.splitlines() but not csv.reader ends lines at;
+# rt_ms values that float() takes only from a str (Unicode digits and
+# spaces; float() refuses "\x1c", which str.isspace() counts, so it is a
+# bad value); multi-byte identifiers whose byte length, and whose line's,
+# is over a small field limit while their character length is not; and a
+# field longer than the widest one coded from bytes
 GOOD_FIELDS = (
-    ["s1", "s2", "S1", " s1", "s1 ", "s\x85", "a\x00b", "\x0b", " "],
-    ["t", "u", " t", "t\x0c", "\x1c"],
+    ["s1", "s2", "S1", " s1", "s1 ", "s\x85", "a\x00b", "\x0b", " ", "éééééé"],
+    ["t", "u", " t", "t\x0c", "\x1c", "ü" * 40],
     ["1", "2", " 2", "+1", "01", "2 "],
-    ["a", "b", "b ", "\x1c", "\x85"],
-    ["400", " 400", "1_000", "4e2", "0.1", "612.5 ", "0", "5000.01"],
+    ["a", "b", "b ", "\x1c", "\x85", "条件条件"],
+    ["400", " 400", "1_000", "4e2", "0.1", "612.5 ", "0", "5000.01"]
+    + ["٤٠٠", "４００", "\u2003400", "\x85400"],
     ["", "", "0", "1", " 1", "1 "],
 )
 BAD_FIELDS = (
@@ -686,7 +693,7 @@ BAD_FIELDS = (
     [""],
     ["3", "x", ""],
     [""],
-    ["-5", "nan", "fast", ""],
+    ["-5", "nan", "fast", "", "\x1c400"],
     ["2", "yes"],
 )
 # lines that are not plain, each with its line end
@@ -760,3 +767,153 @@ def test_read_long_csv_matches_csv_reader(table, chunk_rows):
     for name in ("subject", "task", "session", "condition", "rt_ms", "accuracy"):
         got, want = getattr(actual, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def assert_same_table(actual, expected):
+    assert (actual.subjects, actual.tasks, actual.conditions) == (
+        expected.subjects,
+        expected.tasks,
+        expected.conditions,
+    )
+    for name in ("subject", "task", "session", "condition", "rt_ms", "accuracy"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def read_counting_csv_reader(path):
+    """read_long_csv(path), with the number of csv.reader calls on the way
+    and the number of records read from bytes before csv.reader took over
+    (None if it did not)."""
+    with (
+        mock.patch.object(ingest.csv, "reader", wraps=csv.reader) as reader,
+        mock.patch.object(ingest, "_csv_chunks", wraps=ingest._csv_chunks) as csv_chunks,
+    ):
+        table = read_long_csv(path)
+    handed_over = csv_chunks.call_args.args[2] if csv_chunks.called else None
+    return table, reader.call_count, handed_over
+
+
+def test_plain_table_is_read_from_bytes(tmp_path, monkeypatch):
+    """A plain table of thousands of rows, in chunks that cross the read
+    blocks, reaches csv.reader only for its header. Subject ids share
+    their first 8 bytes, so they are told apart by their hash."""
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 1000)
+    monkeypatch.setattr(ingest, "_READ_BYTES", 4096)
+    trials = [
+        trial(
+            f"subject-{i % 37:04d}",
+            1 + i % 2,
+            ("congruent", "incongruent")[i % 3 == 0],
+            200.0 + (i * 7919 % 4801) / 7.0,
+            (None, 0, 1)[i % 3],
+            task=("flanker", "stroop")[i % 5 == 0],
+        )
+        for i in range(5000)
+    ]
+    path = write_long_csv(tmp_path / "long.csv", trials)
+    table, reader_calls, handed_over = read_counting_csv_reader(path)
+    assert (reader_calls, handed_over) == (1, None)
+    assert len(table) == 5000
+    assert_same_table(table, csv_reader_long_csv(path))
+
+
+@pytest.mark.parametrize("wide", [ingest._MAX_FIELD_BYTES + 1, FIELD_LIMIT])
+def test_read_long_csv_reads_from_a_wide_field_with_csv_reader(tmp_path, monkeypatch, wide):
+    """csv.reader takes over at the chunk with a field wider than the byte
+    coder takes, not before, and the table is csv.reader's."""
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 1024)
+    trials = [
+        trial("w" * wide if i == 1500 else f"s{i % 9}", 1 + i % 2, "ab"[i % 4 == 0], 300.0 + i)
+        for i in range(3000)
+    ]
+    path = write_long_csv(tmp_path / "long.csv", trials)
+    table, reader_calls, handed_over = read_counting_csv_reader(path)
+    assert (reader_calls, handed_over) == (2, 1024)
+    assert_same_table(table, csv_reader_long_csv(path))
+
+
+def test_read_long_csv_reparses_rt_as_text(tmp_path):
+    """An rt_ms that float() reads only from a str sends its chunk to
+    csv.reader, with the same values."""
+    path = tmp_path / "long.csv"
+    path.write_text(f"{HEADER}\ns1,t,1,c,٤٠٠,1\ns1,t,2,c,\u2003512.5,0\n", encoding="utf-8")
+    table, reader_calls, handed_over = read_counting_csv_reader(path)
+    assert (reader_calls, handed_over) == (2, 0)
+    assert table.rt_ms.tolist() == [400.0, 512.5]
+
+
+@pytest.mark.parametrize(
+    "header, from_bytes",
+    [
+        (HEADER + "\n", True),
+        ('"subject_id",task,"session",condition,rt_ms,"accuracy"\n', True),
+        (HEADER + "\r\n", True),
+        (HEADER + "\r\r\n", False),
+        (HEADER + "\rs0,t,1,a,350,1\n", False),
+        ('subject_id,task,session,condition,rt_ms,"accuracy\n', False),
+        ('subject_id,task,session,condition,rt_ms,"accuracy\n"\n', False),
+        (HEADER + ",\n", False),
+        ("subject_id,task,session,condition,rt\n", False),
+        (HEADER, False),
+    ],
+)
+def test_read_long_csv_reads_from_bytes_after_any_header_csv_reads(tmp_path, header, from_bytes):
+    """The byte path starts after a first line that csv.reader reads as the
+    column names, however they are written, and the table or the error is
+    csv.reader's; any other first line hands the whole file to csv.reader."""
+    path = tmp_path / "long.csv"
+    path.write_bytes((header + "s1,t,1,a,400,1\ns2,t,2,b,512.5,\n").encode())
+    expected = read_or_error(csv_reader_long_csv, path)
+    with (
+        mock.patch.object(ingest, "_line_chunks", wraps=ingest._line_chunks) as line_chunks,
+        mock.patch.object(ingest, "_csv_chunks", wraps=ingest._csv_chunks) as csv_chunks,
+    ):
+        actual = read_or_error(read_long_csv, path)
+    if isinstance(expected, str):
+        assert actual == expected
+    else:
+        assert_same_table(actual, expected)
+    if from_bytes:
+        assert not csv_chunks.called
+    else:
+        assert not line_chunks.called
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    body=st.lists(st.sampled_from([b"a,b\n", b"\n", b"xyz", b"\n\n", b"12,3"]), max_size=40),
+    rows=st.integers(1, 6),
+    block=st.integers(1, 9),
+)
+def test_line_chunks_cut_after_every_chunk_rows_newlines(body, rows, block):
+    data = b"".join(body)
+    with mock.patch.object(ingest, "_CHUNK_ROWS", rows), mock.patch.object(ingest, "_READ_BYTES", block):
+        chunks = list(ingest._line_chunks(io.BytesIO(data)))
+    assert b"".join(chunks) == data
+    assert all(chunks)
+    for chunk in chunks[:-1]:
+        assert chunk.count(b"\n") == rows and chunk.endswith(b"\n")
+    if chunks:
+        assert 0 < chunks[-1].count(b"\n") + (not chunks[-1].endswith(b"\n")) <= rows
+
+
+def field_words(names):
+    """The field words of `names`, as _byte_columns builds them."""
+    data = ",".join(names).encode() + b"\n"
+    starts = np.cumsum([0] + [len(name.encode()) + 1 for name in names[:-1]])
+    lengths = np.array([len(name.encode()) for name in names])
+    padded = data + bytes(ingest._MAX_FIELD_BYTES)
+    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    return ingest._field_words(words, starts, lengths)
+
+
+def test_code_words_checks_the_hash(monkeypatch):
+    """Rows are grouped by their hash only where their bytes agree: with a
+    hash of the last word alone, two ids that share it collide and the
+    coder gives up rather than merge them."""
+    names = ["aaaaaaaa-x", "bbbbbbbb-x", "aaaaaaaa-x", "c"]
+    levels = {}
+    codes = ingest._code_words(field_words(names), levels, ingest._parse_identifier)
+    assert [list(levels)[code] for code in codes] == names
+    monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", np.uint64(0))
+    assert ingest._code_words(field_words(names), {}, ingest._parse_identifier) is None

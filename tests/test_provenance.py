@@ -379,6 +379,43 @@ def test_final_mode_refuses_synthetic_workspace(smoke_run, tmp_path):
     assert by_id["R16"].passed
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda entry: entry.pop("filter_counts"),
+        lambda entry: entry.pop("row_count"),
+        lambda entry: entry["filter_counts"].pop("kept"),
+        lambda entry: entry["filter_counts"].update(below_min="0"),
+        lambda entry: entry["filter_counts"].update(above_max=None),
+        lambda entry: entry.update(row_count=True),
+        lambda entry: entry.update(filter_counts=[0, 0, 0]),
+    ],
+)
+def test_final_mode_fails_r14_on_misshapen_evidence(smoke_run, tmp_path, tamper):
+    """A measure entry that lacks a count, or holds one that is not an
+    integer, fails R14 with a detail rather than crashing the gate."""
+    ws, out = copy_run(smoke_run, tmp_path)
+    path = out / INGEST_EVIDENCE_JSON
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    measure_id = sorted(doc["measures"])[0]
+    tamper(doc["measures"][measure_id])
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    r14 = checks_by_id(run_gate("final", ws, out))["R14"]
+    assert not r14.passed
+    assert r14.detail == (
+        f"{INGEST_EVIDENCE_JSON}: {measure_id}: needs an integer row_count and "
+        "integer filter_counts below_min, above_max and kept"
+    )
+
+
+@pytest.mark.parametrize("doc", [[], {"measures": {"m": "not an object"}}])
+def test_final_mode_fails_r14_on_evidence_that_is_not_an_object(smoke_run, tmp_path, doc):
+    ws, out = copy_run(smoke_run, tmp_path)
+    (out / INGEST_EVIDENCE_JSON).write_text(json.dumps(doc), encoding="utf-8")
+    r14 = checks_by_id(run_gate("final", ws, out))["R14"]
+    assert not r14.passed and INGEST_EVIDENCE_JSON in r14.detail
+
+
 def test_final_mode_passes_on_sanitized_workspace(smoke_run, tmp_path):
     """A workspace with verified raw archives, no marker, and a final-mode
     provenance echo clears all 16 checks."""
