@@ -42,7 +42,7 @@ Implementation notes that matter for reproducibility:
   fallback's share of the work depends on the data. At n = 600 a count
   call takes about 0.3 of the all-pairs time; at n near W windows gain
   nothing, so narrower rows (and k >= W) stay all-pairs.
-* The n leave-one-out samples of the jackknife (ksg_deletion_terms) find
+* The n leave-one-out samples of the jackknife (nlr_deletion_terms) find
   eps from the observed sample's nearest neighbours, built once: each
   point's K = max(ks) + _LOO_MARGIN nearest other points and bound, its
   (K + 1)-th smallest distance. A deletion row is the observed sample
@@ -57,11 +57,13 @@ Implementation notes that matter for reproducibility:
   every point of a deletion with a constant margin, gets eps from its full
   deletion row; eps = 0 needs no check. nx and ny come from the binary
   searches above, each deletion row sorted by the observed order less the
-  deleted point, as standardizing is monotone. The engine uses this only
-  where the deletion rows would be counted in sorted windows (n - 1 > W
-  and k < W), where it took a fifth to a half of their time (n = 114-600,
-  k = 3-6, Gaussian data); the rows of smaller samples are counted as
-  before.
+  deleted point, as standardizing is monotone. nlr_deletion_terms takes
+  this path at a k where the deletion rows would be counted in sorted
+  windows (n - 1 > W and k < W), where it took a fifth to a half of their
+  time (n = 114-600, k = 3-6, Gaussian data), and counts narrower deletion
+  rows all pairs: there the candidate path took 3.9, 2.6 and 1.2 times as
+  long at n = 12, 23 and 56, though 0.52 times at n = 100 (k = 4, Gaussian
+  data, 2 CPUs), a range no benchmark workload measures.
 * Every stage works on rows: the (m, n) arrays hold m samples of n pairs
   (bootstrap replicates, jackknife deletions, or one observed sample), and
   ranks, standardization, correlation, neighbour counts and the digamma
@@ -74,10 +76,11 @@ Implementation notes that matter for reproducibility:
   summed along axis 1, or einsum, rounds differently). The Gaussian
   baseline stays the scalar math.log1p, one list comprehension over the
   clamped rows (a vectorized np.log1p differs in the last bit).
-* nlr_terms_rows evaluates the two terms of nlr_delta_rows for several k
-  and correlation methods in one pass, the rows standardized once for all
-  k, so a caller that shares them across specifications (the multiverse
-  engine) gets the bits each specification would get alone.
+* nlr_deletion_terms evaluates both terms of nlr() on the n leave-one-out
+  samples for several k and correlation methods in one pass, each block of
+  deletion rows built and standardized once for all of them, so a caller
+  that shares them across specifications (the multiverse engine) gets the
+  bits each specification would get alone.
 * The neighbour-count kernels take their distance matrices in blocks of
   about _BLOCK_ELEMENTS elements, whatever n and the number of samples:
   many whole samples per block when n is small, a few query rows of one
@@ -433,11 +436,21 @@ def _strip_counts(s: np.ndarray, order: np.ndarray, eps: np.ndarray) -> np.ndarr
     return np.maximum(inside, 0, out=inside) - (eps > 0)
 
 
+def _certified_counts(
+    x: np.ndarray, y: np.ndarray, k: int, ox: np.ndarray, oy: np.ndarray, eps: np.ndarray, ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counts (nx, ny) of every point of the (m, n) rows x and y: eps is
+    taken where its check ok holds, and a point that fails it gets eps from
+    its full row; both counts come from binary searches of the rows sorted
+    by ox and oy."""
+    row, point = np.nonzero(~ok)
+    eps[row, point] = _ksg_eps_points(x, y, k, row, point)
+    return _strip_counts(x, ox, eps), _strip_counts(y, oy, eps)
+
+
 def _ksg_counts_window(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """_ksg_counts_brute's counts for rows of more than W points and k < W:
-    windows over each row sorted by x give eps, a point that fails its
-    window's check gets eps from its full row, and both counts come from
-    binary searches of the sorted margins."""
+    """_ksg_counts_brute's counts for rows of more than W points and k < W,
+    eps from windows over each row sorted by x (_certified_counts)."""
 
     def unsort(order, rows):
         out = np.empty(rows.shape, dtype=rows.dtype)
@@ -446,10 +459,7 @@ def _ksg_counts_window(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray
 
     ox = np.argsort(x, axis=1, kind="stable")
     eps, ok = (unsort(ox, a) for a in _window_eps(np.take_along_axis(x, ox, 1), np.take_along_axis(y, ox, 1), k))
-    row, point = np.nonzero(~ok)
-    eps[row, point] = _ksg_eps_points(x, y, k, row, point)
-    oy = np.argsort(y, axis=1, kind="stable")
-    return _strip_counts(x, ox, eps), _strip_counts(y, oy, eps)
+    return _certified_counts(x, y, k, ox, np.argsort(y, axis=1, kind="stable"), eps, ok)
 
 
 def _windowed(n: int, k: int) -> bool:
@@ -546,70 +556,74 @@ def _order_without(order: np.ndarray, gone: np.ndarray) -> np.ndarray:
     return rows - (rows > gone[:, None])
 
 
-def ksg_deletion_terms(x1: np.ndarray, x2: np.ndarray, ks) -> np.ndarray:
-    """The KSG estimate of each of the n leave-one-out samples of the 1-d
-    sample (x1, x2) at each k in ks: a (len(ks), n) array whose column j,
-    the sample without pair j, is bitwise what _ksg_rows gives on that
-    deletion row, and NaN where a deletion has fewer than k + 1 pairs.
+def nlr_deletion_terms(x1: np.ndarray, x2: np.ndarray, ks, corr_methods) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of nlr() on each of the n leave-one-out samples of the
+    1-d sample (x1, x2): the KSG estimate at each k in ks, a (len(ks), n)
+    array, and the Gaussian baseline under each method, a
+    (len(corr_methods), n) array. Column j, the sample without pair j, is
+    bitwise what nlr() gives on that sample, and NaN where nlr() raises:
+    fewer than k + 1 pairs for a KSG term, fewer than 2 pairs or zero
+    variance in a session for a baseline.
 
-    eps comes from each point's _LOO_MARGIN + max(ks) nearest other points
-    of the observed sample, and is certified exact against the rest of the
-    deletion row (see the module docstring); a point that fails the check
-    gets eps from its full deletion row. Faster than counting the deletion
-    rows where they would be counted in sorted windows
-    (uses_deletion_candidates); exact for any n.
+    Each block of deletion rows is built and standardized once for every k
+    and method. A k whose deletion rows are no wider than a window is
+    counted all pairs on them; a wider one takes eps from the observed
+    sample's nearest neighbours, certified exact against the rest of the
+    deletion row (see the module docstring).
     """
     ks = tuple(_check_k(k) for k in ks)
+    corr_methods = [CorrMethod(method) for method in corr_methods]
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     if x1.ndim != 1 or x1.shape != x2.shape:
-        raise EstimatorError("ksg_deletion_terms requires two 1-d arrays of equal length")
+        raise EstimatorError("nlr_deletion_terms requires two 1-d arrays of equal length")
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-        raise EstimatorError("ksg_deletion_terms requires finite scores")
+        raise EstimatorError("nlr_deletion_terms requires finite scores")
     n = x1.size
-    terms = np.full((len(ks), n), np.nan)
+    mi_ksg = np.full((len(ks), n), np.nan)
+    mi_gauss = np.full((len(corr_methods), n), np.nan)
+    if n < 3:  # a deletion of at most one pair admits no term
+        return mi_ksg, mi_gauss
     live = [j for j, k in enumerate(ks) if n >= k + 2]
-    if not live:
-        return terms
-    live_ks = [ks[j] for j in live]
-    (z1, s1), (z2, s2) = _standardize_sd(x1), _standardize_sd(x2)
-    near, bound = _nearest_others(z1, z2, min(max(live_ks) + _LOO_MARGIN, n - 1))
-    reach = max(np.abs(z1).max(), np.abs(z2).max())
-    sorted1, sorted2 = np.argsort(x1, kind="stable"), np.argsort(x2, kind="stable")
+    windowed = [j for j in live if _windowed(n - 1, ks[j])]
+    if windowed:
+        near_ks = [ks[j] for j in windowed]
+        (z1, s1), (z2, s2) = _standardize_sd(x1), _standardize_sd(x2)
+        near, bound = _nearest_others(z1, z2, min(max(near_ks) + _LOO_MARGIN, n - 1))
+        reach = max(np.abs(z1).max(), np.abs(z2).max())
+        sorted1, sorted2 = np.argsort(x1, kind="stable"), np.argsort(x2, kind="stable")
     t = digamma_table(n - 1)
     kept = np.arange(n - 1)
     step = max(1, _BLOCK_ELEMENTS // (n - 1))  # the deletion rows of bootstrap.deletion_blocks
     for start in range(0, n, step):
         gone = np.arange(start, min(start + step, n))
+        block = slice(start, start + gone.size)
         full = kept + (kept >= gone[:, None])
-        (r1, sd1), (r2, sd2) = _standardize_sd(x1[full]), _standardize_sd(x2[full])
-        reach_row = np.maximum(np.abs(r1), np.abs(r2)).max(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio1, ratio2 = s1 / sd1, s2 / sd2
-            slack = _LOO_ROUNDING * (reach_row + reach) * np.maximum(1.0, np.maximum(ratio1, ratio2))
-            lower = np.minimum(ratio1, ratio2) * bound[full] - slack
-        # a constant deletion margin is no rescaling of the observed one;
-        # eps = 0 needs no check, as no distance lies below it
-        lower[((sd1 == 0.0) | (sd2 == 0.0))[:, 0]] = -np.inf
-        np.maximum(lower, 0.0, out=lower)
-        order1, order2 = _order_without(sorted1, gone), _order_without(sorted2, gone)
-        for j, k, eps in zip(live, live_ks, _near_eps(r1, r2, full, gone, near, live_ks)):
-            row, point = np.nonzero(~(eps <= lower))
-            eps[row, point] = _ksg_eps_points(r1, r2, k, row, point)
-            nx, ny = _strip_counts(r1, order1, eps), _strip_counts(r2, order2, eps)
-            terms[j, start : start + gone.size] = _ksg_term(t, k, nx, ny)
-    return terms
-
-
-def uses_deletion_candidates(n: int, k: int) -> bool:
-    """Whether the KSG terms at k of the n leave-one-out samples of a sample
-    of n pairs are faster from ksg_deletion_terms than from counting the
-    deletion rows: where those rows, of n - 1 points, would be counted in
-    sorted windows. The switch leaves narrower deletion rows on the
-    all-pairs count: there the candidate path took 3.9, 2.6 and 1.2 times
-    as long at n = 12, 23 and 56, though 0.52 times at n = 100 (k = 4,
-    Gaussian data, 2 CPUs)."""
-    return _windowed(n - 1, k)
+        raw1, raw2 = x1[full], x2[full]
+        for j, method in enumerate(corr_methods):
+            mi_gauss[j, block] = _gaussian_mi_rows(_corr_rows(raw1, raw2, method))
+        (r1, sd1), (r2, sd2) = _standardize_sd(raw1), _standardize_sd(raw2)
+        near_eps = {}
+        if windowed:
+            reach_row = np.maximum(np.abs(r1), np.abs(r2)).max(axis=1, keepdims=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio1, ratio2 = s1 / sd1, s2 / sd2
+                slack = _LOO_ROUNDING * (reach_row + reach) * np.maximum(1.0, np.maximum(ratio1, ratio2))
+                lower = np.minimum(ratio1, ratio2) * bound[full] - slack
+            # a constant deletion margin is no rescaling of the observed one;
+            # eps = 0 needs no check, as no distance lies below it
+            lower[((sd1 == 0.0) | (sd2 == 0.0))[:, 0]] = -np.inf
+            np.maximum(lower, 0.0, out=lower)
+            order1, order2 = _order_without(sorted1, gone), _order_without(sorted2, gone)
+            near_eps = dict(zip(windowed, _near_eps(r1, r2, full, gone, near, near_ks)))
+        for j in live:
+            k, eps = ks[j], near_eps.get(j)
+            if eps is None:
+                counts = _ksg_counts_brute(r1, r2, k)
+            else:
+                counts = _certified_counts(r1, r2, k, order1, order2, eps, eps <= lower)
+            mi_ksg[j, block] = _ksg_term(t, k, *counts)
+    return mi_ksg, mi_gauss
 
 
 def ksg_mi(sample: PairedSample, k: int = DEFAULT_K) -> float:
@@ -653,48 +667,6 @@ def nlr(
     )
 
 
-def nlr_terms_rows(
-    x1: np.ndarray,
-    x2: np.ndarray,
-    ks,
-    corr_methods,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms of nlr_delta_rows for several k and correlation
-    methods in one pass.
-
-    x1 and x2 are (m, n) arrays holding m samples of n pairs, one per row.
-    Returns the KSG estimate of each row at each k in ks, a (len(ks), m)
-    array, and the Gaussian baseline of each row under each method, a
-    (len(corr_methods), m) array: bitwise what nlr() gives on that row
-    alone. NaN marks a row that admits no value: a non-finite score, fewer
-    than k + 1 pairs for a KSG term, fewer than 2 pairs or zero variance in
-    a session for a baseline.
-    """
-    ks = tuple(_check_k(k) for k in ks)
-    corr_methods = [CorrMethod(method) for method in corr_methods]
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if x1.ndim != 2 or x1.shape != x2.shape:
-        raise EstimatorError("nlr_terms_rows requires two (m, n) arrays of equal shape")
-    m, n = x1.shape
-    mi_ksg = np.full((len(ks), m), np.nan)
-    mi_gauss = np.full((len(corr_methods), m), np.nan)
-    valid = np.isfinite(x1).all(axis=1) & np.isfinite(x2).all(axis=1)
-    if not valid.any():
-        return mi_ksg, mi_gauss
-    if not valid.all():
-        x1, x2 = x1[valid], x2[valid]
-    estimable = [j for j, k in enumerate(ks) if n >= k + 1]
-    if estimable:
-        terms = _ksg_rows(x1, x2, [ks[j] for j in estimable])
-        for j, term in zip(estimable, terms):
-            mi_ksg[j, valid] = term
-    if n >= 2:
-        for j, method in enumerate(corr_methods):
-            mi_gauss[j, valid] = _gaussian_mi_rows(_corr_rows(x1, x2, method))
-    return mi_ksg, mi_gauss
-
-
 def nlr_delta_rows(
     x1: np.ndarray,
     x2: np.ndarray,
@@ -708,8 +680,21 @@ def nlr_delta_rows(
     NaN for every row on which nlr() raises: a non-finite score, fewer
     than k + 1 pairs, or zero variance in a session.
     """
-    mi_ksg, mi_gauss = nlr_terms_rows(x1, x2, (k,), (corr_method,))
-    return mi_ksg[0] - mi_gauss[0]
+    k = _check_k(k)
+    corr_method = CorrMethod(corr_method)
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    if x1.ndim != 2 or x1.shape != x2.shape:
+        raise EstimatorError("nlr_delta_rows requires two (m, n) arrays of equal shape")
+    m, n = x1.shape
+    delta = np.full(m, np.nan)
+    valid = np.isfinite(x1).all(axis=1) & np.isfinite(x2).all(axis=1)
+    if n < k + 1 or not valid.any():
+        return delta
+    if not valid.all():
+        x1, x2 = x1[valid], x2[valid]
+    delta[valid] = _ksg_rows(x1, x2, (k,))[0] - _gaussian_mi_rows(_corr_rows(x1, x2, corr_method))
+    return delta
 
 
 def _f_quantile(p: float, d1: float, d2: float) -> float:

@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .bootstrap import bootstrap_around, deletion_blocks, derive_entropy
+from .bootstrap import bootstrap_around, derive_entropy
 from .errors import BootstrapFailureError, EstimatorError
 from .estimators import (
     CorrMethod,
@@ -32,11 +32,9 @@ from .estimators import (
     clamped_gaussian_mi,
     correlation,
     icc,
-    ksg_deletion_terms,
     ksg_mi,
+    nlr_deletion_terms,
     nlr_delta_rows,
-    nlr_terms_rows,
-    uses_deletion_candidates,
 )
 from .inference import (
     STATUS_DEGENERATE,
@@ -116,13 +114,10 @@ class MeasureTerms:
     evaluated once for the given specifications (all with n >= n_min).
 
     A term the sample does not admit is None, and makes every cell that
-    needs it degenerate. The leave-one-out terms are evaluated only for the
-    k and methods of cells that are still estimable; each of their rows is
-    NaN where nlr() would raise on that deletion. The Gaussian baselines
-    come from the deletion rows, in blocks. So do the KSG terms of samples
-    of at most W + 1 = 113 pairs; above that ksg_deletion_terms finds them
-    from the observed sample's nearest neighbours, with the same bits
-    (uses_deletion_candidates).
+    needs it degenerate. The leave-one-out terms come from one
+    nlr_deletion_terms call for the k and methods of the cells that are
+    still estimable, and from none when no cell is; each of their rows is
+    NaN where nlr() would raise on that deletion.
     """
 
     def __init__(self, sample: PairedSample, specs: list[Specification]) -> None:
@@ -134,18 +129,8 @@ class MeasureTerms:
         live = [s for s in specs if self.estimable(s)]
         ks = list(dict.fromkeys(s.k for s in live))
         methods = list(dict.fromkeys(s.corr_method for s in live))
-        near_ks = [k for k in ks if uses_deletion_candidates(sample.n, k)]
-        row_ks = [k for k in ks if k not in near_ks]
-        jack_ksg = np.empty((len(row_ks), sample.n))
-        jack_gauss = np.empty((len(methods), sample.n))
-        if live:
-            for start, stop, x1, x2 in deletion_blocks(sample):
-                jack_ksg[:, start:stop], jack_gauss[:, start:stop] = nlr_terms_rows(
-                    x1, x2, row_ks, methods
-                )
-        self.jack_ksg = dict(zip(row_ks, jack_ksg))
-        if near_ks:
-            self.jack_ksg.update(zip(near_ks, ksg_deletion_terms(sample.x1, sample.x2, near_ks)))
+        jack_ksg, jack_gauss = nlr_deletion_terms(sample.x1, sample.x2, ks, methods) if live else ((), ())
+        self.jack_ksg = dict(zip(ks, jack_ksg))
         self.jack_gauss = dict(zip(methods, jack_gauss))
 
     def estimable(self, spec: Specification) -> bool:

@@ -159,47 +159,14 @@ def write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> Non
 
 
 def per_measure_row(est: ReliabilityEstimate) -> list[str]:
-    return [
-        render_cell(v)
-        for v in (
-            est.measure_id,
-            est.n,
-            est.rho,
-            est.mi_ksg,
-            est.mi_gauss,
-            est.nlr_delta,
-            est.ci_low,
-            est.ci_high,
-            est.method,
-            est.p,
-            est.q,
-            est.icc_2_1,
-            est.icc_2_1_low,
-            est.icc_2_1_high,
-            est.icc_3_1,
-            est.status,
-            est.headline_pass,
-        )
-    ]
+    return [render_cell(getattr(est, column)) for column in PER_MEASURE_COLUMNS]
 
 
 def multiverse_row(spec, est: ReliabilityEstimate) -> list[str]:
-    return [
-        render_cell(v)
-        for v in (
-            spec.spec_id,
-            spec.k,
-            spec.corr_method.value,
-            spec.n_min,
-            est.measure_id,
-            est.n,
-            est.nlr_delta,
-            est.ci_low,
-            est.ci_high,
-            est.status,
-            est.headline_pass,
-        )
-    ]
+    """k, corr_method and n_min from the specification, every other column
+    from the estimate."""
+    axes = {"k": spec.k, "corr_method": spec.corr_method.value, "n_min": spec.n_min}
+    return [render_cell(axes[c] if c in axes else getattr(est, c)) for c in MULTIVERSE_COLUMNS]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +288,18 @@ def _require_keys(doc: dict, keys: tuple[str, ...], name: str) -> None:
         raise SchemaError(f"{name}: missing keys {missing}")
 
 
+def is_count(value) -> bool:
+    """A JSON integer; true and false are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_counts(doc: dict, keys: tuple[str, ...], name: str) -> None:
+    """Each of keys, present in doc, holds a count."""
+    bad = [key for key in keys if not is_count(doc[key])]
+    if bad:
+        raise SchemaError(f"{name}: {', '.join(bad)} must be integers")
+
+
 def _check_optional_number(doc: dict, key: str, name: str) -> None:
     value = doc[key]
     if value is not None and not isinstance(value, (int, float)):
@@ -330,12 +309,13 @@ def _check_optional_number(doc: dict, key: str, name: str) -> None:
 def validate_summary_json(path: Path) -> dict:
     doc = _load_json(path)
     _require_keys(doc, SUMMARY_KEYS, path.name)
-    if not isinstance(doc["pass_count"], int) or not isinstance(doc["n_primary"], int):
-        raise SchemaError(f"{path.name}: pass_count/n_primary must be integers")
-    if not isinstance(doc["counts"], dict):
+    _require_counts(doc, ("n_primary", "pass_count"), path.name)
+    counts = doc["counts"]
+    if not isinstance(counts, dict):
         raise SchemaError(f"{path.name}: counts must be an object")
-    _require_keys(doc["counts"], ("ok", "insufficient_n", "degenerate"), path.name)
-    if sum(doc["counts"].values()) != doc["n_primary"]:
+    _require_keys(counts, ("ok", "insufficient_n", "degenerate"), path.name)
+    _require_counts(counts, tuple(counts), f"{path.name}:counts")
+    if sum(counts.values()) != doc["n_primary"]:
         raise SchemaError(f"{path.name}: status counts do not partition n_primary")
     for key in ("nlr_delta_median", "ci_width_median", "mde_median", "min_q", "icc_2_1_median"):
         _check_optional_number(doc, key, path.name)
@@ -348,11 +328,9 @@ def validate_multiverse_summary_json(path: Path) -> dict:
     grand = doc["grand"]
     if not isinstance(grand, dict):
         raise SchemaError(f"{path.name}: grand must be an object")
-    _require_keys(
-        grand,
-        ("total_cells", "estimable", "insufficient_n", "degenerate", "pass_count"),
-        path.name,
-    )
+    grand_counts = ("total_cells", "estimable", "insufficient_n", "degenerate", "pass_count")
+    _require_keys(grand, grand_counts, path.name)
+    _require_counts(grand, grand_counts, f"{path.name}:grand")
     parts = grand["estimable"] + grand["insufficient_n"] + grand["degenerate"]
     if parts != grand["total_cells"]:
         raise SchemaError(f"{path.name}: statuses do not partition total_cells")
@@ -360,7 +338,11 @@ def validate_multiverse_summary_json(path: Path) -> dict:
         if not isinstance(doc[axis], dict) or not doc[axis]:
             raise SchemaError(f"{path.name}: {axis} must be a non-empty object")
         for level, entry in doc[axis].items():
-            _require_keys(entry, ("median_nlr_delta", "pass_count", "estimable"), f"{path.name}:{axis}:{level}")
+            where = f"{path.name}:{axis}:{level}"
+            if not isinstance(entry, dict):
+                raise SchemaError(f"{where}: must be an object")
+            _require_keys(entry, ("median_nlr_delta", "pass_count", "estimable"), where)
+            _require_counts(entry, ("pass_count", "estimable"), where)
     return doc
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -125,18 +125,9 @@ def _load_samples(workspace: Path, registry: ContractRegistry):
     for entry in registry.primary_measures():
         sample, evidence = build_sample(table, entry)
         samples[entry.measure_id] = sample
-        measures_evidence[entry.measure_id] = {
-            "task": evidence.task,
-            "row_count": evidence.row_count,
-            "filter_counts": {
-                "below_min": evidence.filter_counts.below_min,
-                "above_max": evidence.filter_counts.above_max,
-                "kept": evidence.filter_counts.kept,
-            },
-            "zero_trial_cells": list(evidence.zero_trial_cells),
-            "dropped_subjects": list(evidence.dropped_subjects),
-            "n_pairs": evidence.n_pairs,
-        }
+        fields = asdict(evidence)
+        del fields["measure_id"]
+        measures_evidence[entry.measure_id] = fields
     return len(table), samples, measures_evidence
 
 

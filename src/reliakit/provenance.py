@@ -53,6 +53,7 @@ from .outputs import (
     PROVENANCE_JSON,
     SUMMARY_JSON,
     canonical_json,
+    is_count,
     validate_multiverse_csv,
     validate_multiverse_summary_json,
     validate_per_measure_csv,
@@ -305,11 +306,6 @@ def _load_gate_config(workspace: Path) -> dict:
 _FILTER_KEYS = ("below_min", "above_max", "kept")
 
 
-def _is_count(value) -> bool:
-    """A JSON integer; true and false are not counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
     """Execute the promotion gate. Read-only and idempotent: the report is
     returned, not written (cmd_verify persists it)."""
@@ -453,7 +449,7 @@ def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
             fc = entry.get("filter_counts") if isinstance(entry, dict) else None
             if not (
                 isinstance(fc, dict)
-                and all(map(_is_count, (entry.get("row_count"), *map(fc.get, _FILTER_KEYS))))
+                and all(map(is_count, (entry.get("row_count"), *map(fc.get, _FILTER_KEYS))))
             ):
                 raise SchemaError(
                     f"{INGEST_EVIDENCE_JSON}: {measure_id}: needs an integer row_count and "

@@ -22,15 +22,17 @@ from reliakit.estimators import (
     _BLOCK_ELEMENTS,
     _WINDOW_GROUP,
     _WINDOW_MARGIN,
+    CorrMethod,
+    _corr_rows,
+    _gaussian_mi_rows,
     _ksg_counts,
     _ksg_counts_brute,
     _ksg_counts_window,
+    _ksg_rows,
     _standardize,
     _strip_counts,
     _window_eps,
-    ksg_deletion_terms,
-    nlr_terms_rows,
-    uses_deletion_candidates,
+    nlr_deletion_terms,
 )
 
 from conftest import gauss_pairs, make_sample
@@ -241,12 +243,27 @@ def test_rows_no_wider_than_a_window_are_counted_all_pairs(monkeypatch):
     assert calls == [(2, WIDTH + 1)]
 
 
-def _deletion_rows_terms(sample, ks):
-    """The KSG terms of the deletion rows, counted row by row."""
-    out = np.empty((len(ks), sample.n))
+METHODS = (CorrMethod.PEARSON, CorrMethod.SPEARMAN)
+
+
+def _deletion_rows_terms(sample, ks, methods=METHODS):
+    """Both terms of the deletion rows, counted row by row: the KSG term at
+    each k, NaN where a deletion has fewer than k + 1 pairs, and the
+    Gaussian baseline under each method."""
+    mi_ksg = np.full((len(ks), sample.n), np.nan)
+    mi_gauss = np.empty((len(methods), sample.n))
     for start, stop, x1, x2 in deletion_blocks(sample):
-        out[:, start:stop] = nlr_terms_rows(x1, x2, ks, ())[0]
-    return out
+        for j, k in enumerate(ks):
+            if x1.shape[1] >= k + 1:
+                mi_ksg[j, start:stop] = _ksg_rows(x1, x2, (k,))[0]
+        for j, method in enumerate(methods):
+            mi_gauss[j, start:stop] = _gaussian_mi_rows(_corr_rows(x1, x2, method))
+    return mi_ksg, mi_gauss
+
+
+def _assert_terms_equal(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w, equal_nan=True)
 
 
 def _deletion_sample(kind, seed, n):
@@ -285,11 +302,14 @@ DELETION_KINDS = ["gauss", "rounded", "x ties", "outlier", "cluster", "constant"
     ks=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
 )
 def test_deletion_terms_equal_the_deletion_rows(kind, seed, n, ks):
-    # from n = 114 on the deletion rows are counted in sorted windows, below
-    # all pairs; the terms equal either, NaN where a deletion has k pairs
+    # from n = 114 on the deletion rows are wider than a window and their
+    # KSG terms come from the observed sample's nearest neighbours, below
+    # they are counted all pairs; the terms equal the deletion rows' either
+    # way, NaN where a deletion has k pairs or a constant session
     sample = _deletion_sample(kind, seed, n)
-    got = ksg_deletion_terms(sample.x1, sample.x2, ks)
-    assert np.array_equal(got, _deletion_rows_terms(sample, ks), equal_nan=True)
+    got = nlr_deletion_terms(sample.x1, sample.x2, ks, METHODS)
+    assert got[0].shape == (len(ks), n) and got[1].shape == (len(METHODS), n)
+    _assert_terms_equal(got, _deletion_rows_terms(sample, ks))
 
 
 def test_deletion_terms_check_their_eps(monkeypatch):
@@ -306,27 +326,40 @@ def test_deletion_terms_check_their_eps(monkeypatch):
     for kind, checked in (("gauss", False), ("rounded", True)):
         fallback.clear()
         sample = _deletion_sample(kind, 7, 130)
-        got = ksg_deletion_terms(sample.x1, sample.x2, (3, 6))
+        got = nlr_deletion_terms(sample.x1, sample.x2, (3, 6), ())
         assert (sum(fallback) > 0) == checked
-        assert np.array_equal(got, _deletion_rows_terms(sample, (3, 6)))
+        _assert_terms_equal(got, _deletion_rows_terms(sample, (3, 6), ()))
 
 
-def test_deletion_candidates_where_deletions_are_windowed():
-    assert not uses_deletion_candidates(WIDTH + 1, 4)
-    assert uses_deletion_candidates(WIDTH + 2, 4)
-    assert uses_deletion_candidates(600, WIDTH - 1)
-    assert not uses_deletion_candidates(600, WIDTH)
+def test_deletion_candidates_where_deletions_are_windowed(monkeypatch):
+    # the candidates are found only where a deletion row, of n - 1 points,
+    # is wider than a window and k < WIDTH
+    calls = []
+    nearest_others = estimators._nearest_others
+
+    def spy(z1, z2, size):
+        calls.append(size)
+        return nearest_others(z1, z2, size)
+
+    monkeypatch.setattr(estimators, "_nearest_others", spy)
+    rng = np.random.default_rng(5)
+    for n, k, used in ((WIDTH + 1, 4, False), (WIDTH + 2, 4, True), (WIDTH + 2, WIDTH, False)):
+        calls.clear()
+        sample = gauss_pairs(rng, n, rho=0.5)
+        got = nlr_deletion_terms(sample.x1, sample.x2, (k,), ())
+        assert bool(calls) == used, (n, k)
+        _assert_terms_equal(got, _deletion_rows_terms(sample, (k,), ()))
 
 
 def test_deletion_terms_reject_bad_input():
     x = np.arange(6.0)
     with pytest.raises(EstimatorError):
-        ksg_deletion_terms(x, np.append(x[:-1], np.nan), (2,))
+        nlr_deletion_terms(x, np.append(x[:-1], np.nan), (2,), ())
     with pytest.raises(EstimatorError):
-        ksg_deletion_terms(x, x[:-1], (2,))
+        nlr_deletion_terms(x, x[:-1], (2,), ())
     with pytest.raises(EstimatorError):
-        ksg_deletion_terms(x, x, (0,))
-    assert np.isnan(ksg_deletion_terms(x, x, (5,))).all()
+        nlr_deletion_terms(x, x, (0,), ())
+    assert np.isnan(nlr_deletion_terms(x, x, (5,), ())[0]).all()
 
 
 def _tied_rows(rng, m, n, support):

@@ -15,12 +15,11 @@ from reliakit.bootstrap import (
     resample_statistic,
 )
 from reliakit.errors import BootstrapFailureError, EstimatorError
-from reliakit import multiverse
+from reliakit import estimators
 from reliakit.estimators import (
     CorrMethod,
     IccVariant,
     icc,
-    ksg_deletion_terms,
     nlr,
     nlr_delta_rows,
 )
@@ -373,12 +372,13 @@ def test_engine_across_the_block_boundary(n, monkeypatch):
     # one sample's distance matrix no longer fits a count block; at n = 181
     # the deletion rows (180 pairs) still do
     calls = []
+    nearest_others = estimators._nearest_others
 
-    def deletion_terms(x1, x2, ks):
-        calls.append(ks)
-        return ksg_deletion_terms(x1, x2, ks)
+    def spy(z1, z2, size):
+        calls.append(size)
+        return nearest_others(z1, z2, size)
 
-    monkeypatch.setattr(multiverse, "ksg_deletion_terms", deletion_terms)
+    monkeypatch.setattr(estimators, "_nearest_others", spy)
     sample = gauss_pairs(np.random.default_rng(n), n, rho=0.4)
     cells = assert_engine_equals_oracle(build_grid(), sample, 9, 6)
     assert {c.estimate.status for c in cells} == {STATUS_OK}

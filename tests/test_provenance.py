@@ -408,6 +408,47 @@ def test_final_mode_fails_r14_on_misshapen_evidence(smoke_run, tmp_path, tamper)
     )
 
 
+def _first_level(doc, axis):
+    return sorted(doc[axis])[0]
+
+
+@pytest.mark.parametrize(
+    "name, tamper",
+    [
+        (MULTIVERSE_SUMMARY_JSON, lambda doc: doc["grand"].update(estimable="x")),
+        (MULTIVERSE_SUMMARY_JSON, lambda doc: doc["grand"].update(pass_count=False)),
+        (MULTIVERSE_SUMMARY_JSON, lambda doc: doc["by_k"].update({_first_level(doc, "by_k"): 7})),
+        (MULTIVERSE_SUMMARY_JSON, lambda doc: doc["by_corr"][_first_level(doc, "by_corr")].update(estimable=1.0)),
+        (SUMMARY_JSON, lambda doc: doc["counts"].update(ok="6")),
+        (SUMMARY_JSON, lambda doc: doc.update(pass_count=True)),
+        (SUMMARY_JSON, lambda doc: doc.update(n_primary=None)),
+    ],
+)
+def test_verify_fails_r9_on_a_count_that_is_not_an_integer(smoke_run, tmp_path, capsys, name, tamper):
+    """A summary count that is not a JSON integer fails R9 alone, even with
+    its file's digest re-recorded, and verify exits 4 without a traceback."""
+    from reliakit.hashutil import sha256_file
+
+    ws, out = copy_run(smoke_run, tmp_path)
+    path = out / name
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    tamper(doc)
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    provenance = json.loads((out / PROVENANCE_JSON).read_text(encoding="utf-8"))
+    provenance["outputs"][name]["sha256"] = sha256_file(path)
+    (out / PROVENANCE_JSON).write_text(canonical_json(provenance), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["verify", "--mode", "smoke", "--workspace", str(ws), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "Traceback" not in captured.err and "unexpected error" not in captured.err
+    report = json.loads((out / GATE_REPORT_JSON).read_text(encoding="utf-8"))
+    failed = {c["id"] for c in report["checks"] if not c["skipped"] and not c["passed"]}
+    assert failed == {"R9"}
+    r9 = next(c for c in report["checks"] if c["id"] == "R9")
+    assert name in r9["detail"]
+
+
 @pytest.mark.parametrize("doc", [[], {"measures": {"m": "not an object"}}])
 def test_final_mode_fails_r14_on_evidence_that_is_not_an_object(smoke_run, tmp_path, doc):
     ws, out = copy_run(smoke_run, tmp_path)
