@@ -325,10 +325,8 @@ def _ksg_counts_brute(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray,
         np.abs(np.subtract(xs[:, i:stop, None], xs[:, None, :], out=dx), out=dx)
         np.abs(np.subtract(ys[:, i:stop, None], ys[:, None, :], out=dy), out=dy)
         np.maximum(dx, dy, out=dj)
-        own = np.arange(stop - i)
-        dj[:, own, i + own] = np.inf
-        dj.partition(k - 1, axis=2)
-        eps = dj[:, :, k - 1, None]
+        dj.partition(k, axis=2)  # past each point's own distance, 0
+        eps = dj[:, :, k, None]
         has_ball = eps[:, :, 0] > 0
         # strict inequality; the subtraction in dx/dy is the same one used
         # for eps, so boundary neighbours compare with equal bits
@@ -351,9 +349,8 @@ def _ksg_eps_points(x: np.ndarray, y: np.ndarray, k: int, row: np.ndarray, point
         np.abs(np.subtract(x[r, p, None], x[r], out=dx), out=dx)
         np.abs(np.subtract(y[r, p, None], y[r], out=dj), out=dj)
         np.maximum(dx, dj, out=dj)
-        dj[np.arange(r.size), p] = np.inf
-        dj.partition(k - 1, axis=1)
-        eps[s : s + step] = dj[:, k - 1]
+        dj.partition(k, axis=1)  # past the point's own distance, 0
+        eps[s : s + step] = dj[:, k]
     return eps
 
 
@@ -374,7 +371,6 @@ def _window_eps(s: np.ndarray, t: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     # query positions of each group; the last group repeats position n - 1
     query = np.minimum(np.arange(groups * _WINDOW_GROUP), n - 1).reshape(groups, -1)
     first = np.clip(query[:, 0] - _WINDOW_MARGIN, 0, n - width)
-    own = query - first[:, None]  # each query's column within its window
     # a window at the row's edge checks against the -inf or +inf pad
     pad = np.full((m, 1), np.inf)
     edged = sliding_window_view(np.concatenate([-pad, s, pad], axis=1), width + 2, axis=1)
@@ -392,9 +388,8 @@ def _window_eps(s: np.ndarray, t: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
         np.abs(np.subtract(s[r[:, None], query[g], None], edged[r, first[g]][:, None, :], out=ds), out=ds)
         np.abs(np.subtract(t[r[:, None], query[g], None], t_win[r, first[g]][:, None, :], out=dj), out=dj)
         np.maximum(ds[:, :, 1:-1], dj, out=dj)
-        dj[np.arange(stop - j)[:, None], np.arange(_WINDOW_GROUP), own[g]] = np.inf
-        dj.partition(k - 1, axis=2)
-        e = dj[:, :, k - 1]
+        dj.partition(k, axis=2)  # past the query's own distance, 0
+        e = dj[:, :, k]
         eps[j:stop] = e
         ok[j:stop] = (ds[:, :, 0] >= e) & (ds[:, :, -1] >= e)
     return eps.reshape(m, -1)[:, :n], ok.reshape(m, -1)[:, :n]

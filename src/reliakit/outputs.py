@@ -1,23 +1,34 @@
-"""Canonical output rendering and schema validation.
+"""Canonical output rendering, and the one typed schema of each output.
 
 Every byte the pipeline emits is pinned: floats render as %.17g
 (round-trip safe), JSON is sorted-key with two-space indent and a trailing
-newline, text files are UTF-8 with LF line endings. The schema validators
-below are the same ones the promotion gate runs, so the writer and the
-verifier cannot drift apart.
+newline, text files are UTF-8 with LF line endings.
+
+SCHEMAS describes each output's fields once. A CSV schema maps each
+column, in file order, to its Kind; a JSON schema maps each key to a Kind,
+a nested schema or a MapOf. The CSV writers take their header and column
+order from these schemas, and the validators, which the promotion gate
+runs, read each file back through the same schema before they check its
+cross-field rules. A cell holds its value only in the rendering
+render_cell gives it, so a value read back renders to the bytes it was
+read from, and the writer and the verifier cannot drift apart.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-import re
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SchemaError
-from .inference import STATUSES, ReliabilityEstimate
+from .estimators import CorrMethod
+from .inference import STATUS_OK, STATUSES, ReliabilityEstimate, headline_pass
+from .multiverse import CORR_GRID, K_GRID, N_MIN_GRID, Specification
 
 PER_MEASURE_CSV = "per_measure_results.csv"
 SUMMARY_JSON = "summary.json"
@@ -43,67 +54,182 @@ COMMAND_OUTPUTS = {
     "multiverse": (MULTIVERSE_CSV, MULTIVERSE_SUMMARY_JSON, INGEST_EVIDENCE_JSON),
 }
 
-PER_MEASURE_COLUMNS = (
-    "measure_id",
-    "n",
-    "rho",
-    "mi_ksg",
-    "mi_gauss",
-    "nlr_delta",
-    "ci_low",
-    "ci_high",
-    "method",
-    "p",
-    "q",
-    "icc_2_1",
-    "icc_2_1_low",
-    "icc_2_1_high",
-    "icc_3_1",
-    "status",
-    "headline_pass",
+
+# ---------------------------------------------------------------------------
+# field kinds
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A field's type: test accepts its values, and cell parses a non-empty
+    CSV cell into one (an empty cell is None)."""
+
+    what: str
+    test: Callable[[object], bool]
+    cell: Callable[[str], object] = str
+
+
+@dataclass(frozen=True)
+class MapOf:
+    """A JSON object whose every value has kind; with keys, its keys are
+    exactly those."""
+
+    kind: object
+    keys: tuple[str, ...] | None = None
+
+
+def _integer(value) -> bool:
+    """A JSON integer; true and false are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    """A finite JSON number; true and false are not numbers."""
+    return _integer(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _optional(kind: Kind) -> Kind:
+    """kind, or null (an empty cell): the value fields of a row or summary
+    that has no estimate."""
+    return Kind(f"{kind.what} or null", lambda v: v is None or kind.test(v), kind.cell)
+
+
+def _one_of(*values) -> Kind:
+    cell = type(values[0])
+    return Kind(
+        f"one of {', '.join(map(str, values))}", lambda v: type(v) is cell and v in values, cell
+    )
+
+
+COUNT = Kind("a non-negative integer", lambda v: _integer(v) and v >= 0, int)
+NUMBER = Kind("a finite number", _number, float)
+OPTIONAL_NUMBER = _optional(NUMBER)
+TEXT = Kind("a non-empty string", lambda v: isinstance(v, str) and v != "")
+FLAG = Kind("true or false", lambda v: isinstance(v, bool), {"true": True, "false": False}.__getitem__)
+OPTIONAL_PAIR = _optional(
+    Kind(
+        "a [low, high] pair of finite numbers",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v)) and v[0] <= v[1],
+    )
 )
-
-MULTIVERSE_COLUMNS = (
-    "spec_id",
-    "k",
-    "corr_method",
-    "n_min",
-    "measure_id",
-    "n",
-    "nlr_delta",
-    "ci_low",
-    "ci_high",
-    "status",
-    "headline_pass",
+STRING_MAP = Kind(
+    "an object of strings", lambda v: isinstance(v, dict) and all(isinstance(s, str) for s in v.values())
 )
+LIST = Kind("a list", lambda v: isinstance(v, list))
+OBJECT = Kind("an object", lambda v: isinstance(v, dict))
 
-SUMMARY_KEYS = (
-    "q_star",
-    "n_primary",
-    "counts",
-    "pass_count",
-    "nlr_delta_median",
-    "nlr_delta_iqr",
-    "ci_width_median",
-    "mde_median",
-    "min_q",
-    "icc_2_1_median",
-    "icc_2_1_iqr",
-)
 
-MULTIVERSE_SUMMARY_KEYS = ("grand", "by_k", "by_corr", "by_n_min")
+# ---------------------------------------------------------------------------
+# the schemas
 
-PROVENANCE_KEYS = (
-    "run_mode",
-    "toolchain_versions",
-    "input_digests",
-    "outputs",
-    "timestamp",
-)
+_STATUS = _one_of(*STATUSES)
 
-PROVENANCE_OUTPUT_KEYS = ("sha256", "command", "base_seed", "bootstrap_b")
+# A CSV row's optional cells, its numbers and method, are filled exactly when
+# its status is ok.
+PER_MEASURE_SCHEMA = {
+    "measure_id": TEXT,
+    "n": COUNT,
+    "rho": OPTIONAL_NUMBER,
+    "mi_ksg": OPTIONAL_NUMBER,
+    "mi_gauss": OPTIONAL_NUMBER,
+    "nlr_delta": OPTIONAL_NUMBER,
+    "ci_low": OPTIONAL_NUMBER,
+    "ci_high": OPTIONAL_NUMBER,
+    "method": _optional(_one_of("bca", "percentile_fallback")),
+    "p": OPTIONAL_NUMBER,
+    "q": OPTIONAL_NUMBER,
+    "icc_2_1": OPTIONAL_NUMBER,
+    "icc_2_1_low": OPTIONAL_NUMBER,
+    "icc_2_1_high": OPTIONAL_NUMBER,
+    "icc_3_1": OPTIONAL_NUMBER,
+    "status": _STATUS,
+    "headline_pass": FLAG,
+}
 
-_SPEC_ID_RE = re.compile(r"^k(\d+)_(pearson|spearman)_nmin(\d+)$")
+MULTIVERSE_SCHEMA = {
+    "spec_id": TEXT,
+    "k": _one_of(*K_GRID),
+    "corr_method": _one_of(*(method.value for method in CORR_GRID)),
+    "n_min": _one_of(*N_MIN_GRID),
+    "measure_id": TEXT,
+    "n": COUNT,
+    "nlr_delta": OPTIONAL_NUMBER,
+    "ci_low": OPTIONAL_NUMBER,
+    "ci_high": OPTIONAL_NUMBER,
+    "status": _STATUS,
+    "headline_pass": FLAG,
+}
+
+SUMMARY_SCHEMA = {
+    "q_star": NUMBER,
+    "n_primary": COUNT,
+    "counts": MapOf(COUNT, STATUSES),
+    "pass_count": COUNT,
+    "nlr_delta_median": OPTIONAL_NUMBER,
+    "nlr_delta_iqr": OPTIONAL_PAIR,
+    "ci_width_median": OPTIONAL_NUMBER,
+    "mde_median": OPTIONAL_NUMBER,
+    "min_q": OPTIONAL_NUMBER,
+    "icc_2_1_median": OPTIONAL_NUMBER,
+    "icc_2_1_iqr": OPTIONAL_PAIR,
+}
+
+_LEVEL = {"median_nlr_delta": OPTIONAL_NUMBER, "pass_count": COUNT, "estimable": COUNT}
+
+MULTIVERSE_SUMMARY_SCHEMA = {
+    "grand": {
+        "total_cells": COUNT,
+        "estimable": COUNT,
+        "insufficient_n": COUNT,
+        "degenerate": COUNT,
+        "pass_count": COUNT,
+        "median_nlr_delta": OPTIONAL_NUMBER,
+        "iqr_nlr_delta": OPTIONAL_PAIR,
+    },
+    "by_k": MapOf(_LEVEL, tuple(map(str, K_GRID))),
+    "by_corr": MapOf(_LEVEL, tuple(method.value for method in CORR_GRID)),
+    "by_n_min": MapOf(_LEVEL, tuple(map(str, N_MIN_GRID))),
+}
+
+# gate check R14 reads each measure's entry through MEASURE_EVIDENCE_SCHEMA
+INGEST_EVIDENCE_SCHEMA = {
+    "archives": LIST,
+    "processed": {"path": TEXT, "sha256": TEXT, "row_count": COUNT},
+    "measures": MapOf(OBJECT),
+}
+
+MEASURE_EVIDENCE_SCHEMA = {
+    "row_count": COUNT,
+    "filter_counts": MapOf(COUNT, ("below_min", "above_max", "kept")),
+}
+
+PROVENANCE_SCHEMA = {
+    "run_mode": _one_of("smoke", "final"),
+    "toolchain_versions": STRING_MAP,
+    "input_digests": STRING_MAP,
+    "outputs": MapOf(
+        {
+            "sha256": TEXT,
+            "command": _one_of(*COMMAND_OUTPUTS),
+            "base_seed": Kind("an integer", _integer),
+            "bootstrap_b": Kind("a positive integer", lambda v: _integer(v) and v >= 1),
+        }
+    ),
+    "timestamp": Kind("an ISO-8601 timestamp", lambda v: isinstance(v, str) and "T" in v),
+}
+
+SCHEMAS = {
+    PER_MEASURE_CSV: PER_MEASURE_SCHEMA,
+    SUMMARY_JSON: SUMMARY_SCHEMA,
+    MULTIVERSE_CSV: MULTIVERSE_SCHEMA,
+    MULTIVERSE_SUMMARY_JSON: MULTIVERSE_SUMMARY_SCHEMA,
+    INGEST_EVIDENCE_JSON: INGEST_EVIDENCE_SCHEMA,
+    PROVENANCE_JSON: PROVENANCE_SCHEMA,
+}
+
+
+# ---------------------------------------------------------------------------
+# writing
 
 
 def fmt_float(value: float) -> str:
@@ -151,7 +277,8 @@ def write_json(path: Path, obj) -> None:
     write_text(path, canonical_json(obj))
 
 
-def write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
+def write_csv(path: Path, header: Iterable[str], rows: list[list[str]]) -> None:
+    """header: the column names, such as a CSV schema's keys."""
     with _replacing(path, "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -159,221 +286,140 @@ def write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> Non
 
 
 def per_measure_row(est: ReliabilityEstimate) -> list[str]:
-    return [render_cell(getattr(est, column)) for column in PER_MEASURE_COLUMNS]
+    return [render_cell(getattr(est, column)) for column in PER_MEASURE_SCHEMA]
 
 
 def multiverse_row(spec, est: ReliabilityEstimate) -> list[str]:
     """k, corr_method and n_min from the specification, every other column
     from the estimate."""
     axes = {"k": spec.k, "corr_method": spec.corr_method.value, "n_min": spec.n_min}
-    return [render_cell(axes[c] if c in axes else getattr(est, c)) for c in MULTIVERSE_COLUMNS]
+    return [render_cell(axes[c] if c in axes else getattr(est, c)) for c in MULTIVERSE_SCHEMA]
 
 
 # ---------------------------------------------------------------------------
-# validators (used by the promotion gate)
+# typed reading and the validators (used by the promotion gate)
 
 
-def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
+def _load_json(path: Path, error: type[Exception] = SchemaError):
+    """The JSON document in the file at path. error, naming the file, when
+    the file is missing or is not UTF-8 JSON."""
+    if not path.is_file():
+        raise error(f"{path.name}: missing")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path.name}: invalid JSON ({exc})") from None
+
+
+def check_json(value, schema, where: str) -> None:
+    """Raise SchemaError, naming where, unless value fits schema: a Kind, a
+    MapOf, or a dict of keys that value, an object, holds, each fitting its
+    own schema (other keys are ignored)."""
+    if isinstance(schema, Kind):
+        if not schema.test(value):
+            raise SchemaError(f"{where} must be {schema.what}, got {value!r}")
+        return
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where} must be an object")
+    if isinstance(schema, MapOf):
+        if schema.keys is not None and set(value) != set(schema.keys):
+            raise SchemaError(f"{where} must have the keys {list(schema.keys)}, got {list(value)}")
+        schema = dict.fromkeys(value, schema.kind)
+    missing = [key for key in schema if key not in value]
+    if missing:
+        raise SchemaError(f"{where}: missing keys {missing}")
+    for key, kind in schema.items():
+        check_json(value[key], kind, f"{where}:{key}")
+
+
+def read_json(path: Path, schema) -> dict:
+    doc = _load_json(path)
+    check_json(doc, schema, path.name)
+    return doc
+
+
+def _cell(raw: str, kind: Kind, where: str):
+    try:
+        value = kind.cell(raw) if raw else None
+        if render_cell(value) == raw and kind.test(value):
+            return value
+    except (KeyError, ValueError):
+        pass
+    raise SchemaError(f"{where} must be {kind.what}, got {raw!r}")
+
+
+def read_csv(path: Path, schema: dict[str, Kind]) -> list[dict]:
+    """The rows of the CSV file at path, each a dict of its cells parsed by
+    their columns' kinds."""
     if not path.is_file():
         raise SchemaError(f"{path.name}: missing")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != columns:
-            raise SchemaError(
-                f"{path.name}: header mismatch, got {reader.fieldnames}"
-            )
-        return list(reader)
-
-
-def _require_float(row: dict[str, str], col: str, where: str) -> float:
-    raw = row[col]
     try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: column {col!r} is not a float: {raw!r}") from None
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *lines = list(csv.reader(fh)) or [None]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path.name}: unreadable CSV ({exc})") from None
+    if header != list(schema):
+        raise SchemaError(f"{path.name}: header mismatch, got {header}")
+    rows = []
+    for i, cells in enumerate(lines, start=2):
+        if len(cells) != len(schema):
+            raise SchemaError(f"{path.name}:{i}: {len(cells)} fields, expected {len(schema)}")
+        rows.append(
+            {col: _cell(raw, kind, f"{path.name}:{i}: {col}") for (col, kind), raw in zip(schema.items(), cells)}
+        )
+    return rows
 
 
-def _require_empty(row: dict[str, str], cols: tuple[str, ...], where: str) -> None:
-    for col in cols:
-        if row[col] != "":
-            raise SchemaError(f"{where}: column {col!r} must be empty, got {row[col]!r}")
-
-
-def _check_common(row: dict[str, str], where: str, value_cols: tuple[str, ...]) -> None:
-    status = row["status"]
-    if status not in STATUSES:
-        raise SchemaError(f"{where}: bad status {status!r}")
-    if row["headline_pass"] not in ("true", "false"):
-        raise SchemaError(f"{where}: bad headline_pass {row['headline_pass']!r}")
-    if not row["measure_id"]:
-        raise SchemaError(f"{where}: empty measure_id")
-    if not row["n"].isdigit():
-        raise SchemaError(f"{where}: n is not a non-negative integer: {row['n']!r}")
-    if status == "ok":
-        ci_low = _require_float(row, "ci_low", where)
-        for col in value_cols:
-            _require_float(row, col, where)
-        expected = "true" if ci_low > 0.0 else "false"
-        if row["headline_pass"] != expected:
-            raise SchemaError(f"{where}: headline_pass inconsistent with ci_low")
-    else:
-        _require_empty(row, value_cols + ("ci_low",), where)
-        if row["headline_pass"] != "false":
-            raise SchemaError(f"{where}: non-ok row with headline_pass true")
+def _check_status(row: dict, where: str, schema: dict[str, Kind]) -> None:
+    """The value cells, the columns whose kind admits null, are filled
+    exactly when the status is ok, and headline_pass is the headline rule
+    on ci_low."""
+    ok = row["status"] == STATUS_OK
+    if any((row[col] is None) == ok for col, kind in schema.items() if kind.test(None)):
+        raise SchemaError(f"{where}: value cells must be filled exactly when the status is ok")
+    if row["headline_pass"] != headline_pass(row["ci_low"]):
+        raise SchemaError(f"{where}: headline_pass inconsistent with ci_low")
 
 
 def validate_per_measure_csv(path: Path) -> int:
-    rows = _read_csv(path, PER_MEASURE_COLUMNS)
-    value_cols = (
-        "rho",
-        "mi_ksg",
-        "mi_gauss",
-        "nlr_delta",
-        "ci_high",
-        "p",
-        "q",
-        "icc_2_1",
-        "icc_2_1_low",
-        "icc_2_1_high",
-        "icc_3_1",
-    )
+    rows = read_csv(path, PER_MEASURE_SCHEMA)
     for i, row in enumerate(rows, start=2):
         where = f"{path.name}:{i}"
-        _check_common(row, where, value_cols)
-        if row["status"] == "ok":
-            if row["method"] not in ("bca", "percentile_fallback"):
-                raise SchemaError(f"{where}: bad method {row['method']!r}")
-            p = float(row["p"])
-            q = float(row["q"])
-            if q < p - 1e-15:
-                raise SchemaError(f"{where}: q < p")
-        elif row["method"] != "":
-            raise SchemaError(f"{where}: non-ok row with method set")
+        _check_status(row, where, PER_MEASURE_SCHEMA)
+        if row["q"] is not None and row["q"] < row["p"] - 1e-15:
+            raise SchemaError(f"{where}: q < p")
     return len(rows)
 
 
 def validate_multiverse_csv(path: Path) -> int:
-    rows = _read_csv(path, MULTIVERSE_COLUMNS)
-    value_cols = ("nlr_delta", "ci_high")
+    rows = read_csv(path, MULTIVERSE_SCHEMA)
     for i, row in enumerate(rows, start=2):
         where = f"{path.name}:{i}"
-        match = _SPEC_ID_RE.match(row["spec_id"])
-        if not match:
-            raise SchemaError(f"{where}: bad spec_id {row['spec_id']!r}")
-        if (match.group(1), match.group(2), match.group(3)) != (
-            row["k"],
-            row["corr_method"],
-            row["n_min"],
-        ):
+        spec = Specification(row["k"], CorrMethod(row["corr_method"]), row["n_min"])
+        if row["spec_id"] != spec.spec_id:
             raise SchemaError(f"{where}: spec_id disagrees with spec fields")
-        _check_common(row, where, value_cols)
+        _check_status(row, where, MULTIVERSE_SCHEMA)
     return len(rows)
 
 
-def _load_json(path: Path) -> dict:
-    if not path.is_file():
-        raise SchemaError(f"{path.name}: missing")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"{path.name}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path.name}: top level must be an object")
-    return doc
-
-
-def _require_keys(doc: dict, keys: tuple[str, ...], name: str) -> None:
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise SchemaError(f"{name}: missing keys {missing}")
-
-
-def is_count(value) -> bool:
-    """A JSON integer; true and false are not counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require_counts(doc: dict, keys: tuple[str, ...], name: str) -> None:
-    """Each of keys, present in doc, holds a count."""
-    bad = [key for key in keys if not is_count(doc[key])]
-    if bad:
-        raise SchemaError(f"{name}: {', '.join(bad)} must be integers")
-
-
-def _check_optional_number(doc: dict, key: str, name: str) -> None:
-    value = doc[key]
-    if value is not None and not isinstance(value, (int, float)):
-        raise SchemaError(f"{name}: {key} must be a number or null")
-
-
 def validate_summary_json(path: Path) -> dict:
-    doc = _load_json(path)
-    _require_keys(doc, SUMMARY_KEYS, path.name)
-    _require_counts(doc, ("n_primary", "pass_count"), path.name)
-    counts = doc["counts"]
-    if not isinstance(counts, dict):
-        raise SchemaError(f"{path.name}: counts must be an object")
-    _require_keys(counts, ("ok", "insufficient_n", "degenerate"), path.name)
-    _require_counts(counts, tuple(counts), f"{path.name}:counts")
-    if sum(counts.values()) != doc["n_primary"]:
+    doc = read_json(path, SUMMARY_SCHEMA)
+    if sum(doc["counts"].values()) != doc["n_primary"]:
         raise SchemaError(f"{path.name}: status counts do not partition n_primary")
-    for key in ("nlr_delta_median", "ci_width_median", "mde_median", "min_q", "icc_2_1_median"):
-        _check_optional_number(doc, key, path.name)
     return doc
 
 
 def validate_multiverse_summary_json(path: Path) -> dict:
-    doc = _load_json(path)
-    _require_keys(doc, MULTIVERSE_SUMMARY_KEYS, path.name)
+    doc = read_json(path, MULTIVERSE_SUMMARY_SCHEMA)
     grand = doc["grand"]
-    if not isinstance(grand, dict):
-        raise SchemaError(f"{path.name}: grand must be an object")
-    grand_counts = ("total_cells", "estimable", "insufficient_n", "degenerate", "pass_count")
-    _require_keys(grand, grand_counts, path.name)
-    _require_counts(grand, grand_counts, f"{path.name}:grand")
-    parts = grand["estimable"] + grand["insufficient_n"] + grand["degenerate"]
-    if parts != grand["total_cells"]:
+    if grand["estimable"] + grand["insufficient_n"] + grand["degenerate"] != grand["total_cells"]:
         raise SchemaError(f"{path.name}: statuses do not partition total_cells")
-    for axis in ("by_k", "by_corr", "by_n_min"):
-        if not isinstance(doc[axis], dict) or not doc[axis]:
-            raise SchemaError(f"{path.name}: {axis} must be a non-empty object")
-        for level, entry in doc[axis].items():
-            where = f"{path.name}:{axis}:{level}"
-            if not isinstance(entry, dict):
-                raise SchemaError(f"{where}: must be an object")
-            _require_keys(entry, ("median_nlr_delta", "pass_count", "estimable"), where)
-            _require_counts(entry, ("pass_count", "estimable"), where)
     return doc
 
 
 def validate_provenance_json(path: Path) -> dict:
-    doc = _load_json(path)
-    _require_keys(doc, PROVENANCE_KEYS, path.name)
-    if doc["run_mode"] not in ("smoke", "final"):
-        raise SchemaError(f"{path.name}: bad run_mode {doc['run_mode']!r}")
-    for key in ("toolchain_versions", "input_digests"):
-        block = doc[key]
-        if not isinstance(block, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in block.items()
-        ):
-            raise SchemaError(f"{path.name}: {key} must map strings to strings")
-    if not isinstance(doc["outputs"], dict):
-        raise SchemaError(f"{path.name}: outputs must be an object")
-    for name, entry in doc["outputs"].items():
-        where = f"{path.name}:outputs:{name}"
+    doc = read_json(path, PROVENANCE_SCHEMA)
+    for name in doc["outputs"]:
         if name not in DIGESTED_OUTPUTS:
-            raise SchemaError(f"{where}: not a digested output")
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: must be an object")
-        _require_keys(entry, PROVENANCE_OUTPUT_KEYS, where)
-        if not isinstance(entry["sha256"], str):
-            raise SchemaError(f"{where}: sha256 must be a string")
-        if entry["command"] not in COMMAND_OUTPUTS:
-            raise SchemaError(f"{where}: bad command {entry['command']!r}")
-        if not isinstance(entry["base_seed"], int):
-            raise SchemaError(f"{where}: base_seed must be an integer")
-        if not isinstance(entry["bootstrap_b"], int) or entry["bootstrap_b"] < 1:
-            raise SchemaError(f"{where}: bootstrap_b must be a positive integer")
-    if not isinstance(doc["timestamp"], str) or "T" not in doc["timestamp"]:
-        raise SchemaError(f"{path.name}: timestamp must be ISO-8601")
+            raise SchemaError(f"{path.name}:outputs:{name}: not a digested output")
     return doc

@@ -38,15 +38,15 @@ from .multiverse import (
 from .outputs import (
     INGEST_EVIDENCE_JSON,
     MULTIVERSE_CSV,
+    MULTIVERSE_SCHEMA,
     MULTIVERSE_SUMMARY_JSON,
     PER_MEASURE_CSV,
+    PER_MEASURE_SCHEMA,
     SUMMARY_JSON,
     multiverse_row,
     per_measure_row,
     write_csv,
     write_json,
-    MULTIVERSE_COLUMNS,
-    PER_MEASURE_COLUMNS,
 )
 from .provenance import (
     CONTRACT_RELPATH,
@@ -201,7 +201,7 @@ def _write_primary(
     annotated, summary = apply_primary_inference([c.estimate for c in cells], registry)
     write_csv(
         out_dir / PER_MEASURE_CSV,
-        PER_MEASURE_COLUMNS,
+        PER_MEASURE_SCHEMA,
         [per_measure_row(e) for e in annotated],
     )
     write_json(out_dir / SUMMARY_JSON, summary)
@@ -213,7 +213,7 @@ def _write_grid(
 ) -> dict:
     write_csv(
         out_dir / MULTIVERSE_CSV,
-        MULTIVERSE_COLUMNS,
+        MULTIVERSE_SCHEMA,
         [multiverse_row(cell.spec, cell.estimate) for cell in cells],
     )
     summary = summarize(cells)

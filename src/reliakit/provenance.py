@@ -25,11 +25,12 @@ gate verifies a workspace/output pair without writing anything:
     R16 processed table digest matches the manifest       (final only)
 
 Smoke mode executes R1-R12 and reports R13-R16 as skipped, never passed.
+The checks that read a file's fields (R3, R7-R12, R14) read it through its
+schema in reliakit.outputs.
 """
 
 from __future__ import annotations
 
-import json
 import platform
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -44,16 +45,23 @@ from .hashutil import sha256_file
 from .ingest import ArchiveEvidence, verify_archive
 from .outputs import (
     COMMAND_OUTPUTS,
+    COUNT,
     DIGESTED_OUTPUTS,
     GATE_REPORT_JSON,
     INGEST_EVIDENCE_JSON,
+    INGEST_EVIDENCE_SCHEMA,
+    MEASURE_EVIDENCE_SCHEMA,
     MULTIVERSE_CSV,
     MULTIVERSE_SUMMARY_JSON,
     PER_MEASURE_CSV,
     PROVENANCE_JSON,
+    STRING_MAP,
     SUMMARY_JSON,
+    MapOf,
+    _load_json,
     canonical_json,
-    is_count,
+    check_json,
+    read_json,
     validate_multiverse_csv,
     validate_multiverse_summary_json,
     validate_per_measure_csv,
@@ -71,6 +79,12 @@ PROCESSED_PIN = "processed/long.csv"
 PROCESSED_RELPATH = f"data/{PROCESSED_PIN}"
 SYNTHETIC_MARKER = "data/processed/SYNTHETIC_DATA"
 
+GATE_CONFIG_SCHEMA = {
+    "schema_version": COUNT,
+    "pinned_tier_counts": MapOf(COUNT),
+    "pinned_digests": STRING_MAP,
+}
+
 REQUIRED_OUTPUTS = (
     PER_MEASURE_CSV,
     SUMMARY_JSON,
@@ -84,16 +98,8 @@ REQUIRED_OUTPUTS = (
 def _load_hash_manifest(workspace: Path) -> dict[str, str]:
     """The one parser of the hash manifest: an object mapping paths under
     data/ to hex digests."""
-    path = workspace / HASH_MANIFEST
-    if not path.is_file():
-        raise HashMismatchError(f"{HASH_MANIFEST}: missing")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HashMismatchError(f"{HASH_MANIFEST}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
-    ):
+    doc = _load_json(workspace / HASH_MANIFEST, HashMismatchError)
+    if not STRING_MAP.test(doc):
         raise HashMismatchError(f"{HASH_MANIFEST}: must map relative paths to hex digests")
     return doc
 
@@ -176,7 +182,7 @@ def _earlier_outputs(out_dir: Path, run_mode: str, input_digests: dict[str, str]
     same mode, from the same inputs and with the same toolchain; else none."""
     try:
         doc = validate_provenance_json(out_dir / PROVENANCE_JSON)
-    except (SchemaError, ValueError):
+    except SchemaError:
         return {}
     same = (
         doc["run_mode"] == run_mode
@@ -286,24 +292,7 @@ def write_gate_report(report: GateReport, out_dir: Path) -> Path:
 
 
 def _load_gate_config(workspace: Path) -> dict:
-    path = workspace / GATE_CONFIG
-    if not path.is_file():
-        raise SchemaError(f"{GATE_CONFIG}: missing")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"{GATE_CONFIG}: invalid JSON ({exc})") from None
-    for key in ("schema_version", "pinned_tier_counts", "pinned_digests"):
-        if key not in doc:
-            raise SchemaError(f"{GATE_CONFIG}: missing key {key!r}")
-    if not isinstance(doc["pinned_tier_counts"], dict) or not isinstance(
-        doc["pinned_digests"], dict
-    ):
-        raise SchemaError(f"{GATE_CONFIG}: pins must be objects")
-    return doc
-
-
-_FILTER_KEYS = ("below_min", "above_max", "kept")
+    return read_json(workspace / GATE_CONFIG, GATE_CONFIG_SCHEMA)
 
 
 def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
@@ -319,7 +308,7 @@ def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
         try:
             detail = fn()
             checks.append(GateCheck(check_id, name, True, False, detail or "ok"))
-        except (ReliakitError, OSError, json.JSONDecodeError, ValueError) as exc:
+        except (ReliakitError, OSError, ValueError) as exc:
             checks.append(GateCheck(check_id, name, False, False, str(exc)))
 
     def skip(check_id: str, name: str) -> None:
@@ -438,24 +427,18 @@ def run_gate(mode: str, workspace: Path, out_dir: Path) -> GateReport:
         return f"{len(raw)} raw archives verified"
 
     def r14() -> str:
-        path = out_dir / INGEST_EVIDENCE_JSON
-        if not path.is_file():
-            raise SchemaError(f"{INGEST_EVIDENCE_JSON}: missing")
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        measures = doc.get("measures") if isinstance(doc, dict) else None
-        if not isinstance(measures, dict) or not measures:
+        measures = read_json(out_dir / INGEST_EVIDENCE_JSON, INGEST_EVIDENCE_SCHEMA)["measures"]
+        if not measures:
             raise SchemaError(f"{INGEST_EVIDENCE_JSON}: no per-measure evidence")
         for measure_id, entry in sorted(measures.items()):
-            fc = entry.get("filter_counts") if isinstance(entry, dict) else None
-            if not (
-                isinstance(fc, dict)
-                and all(map(is_count, (entry.get("row_count"), *map(fc.get, _FILTER_KEYS))))
-            ):
+            try:
+                check_json(entry, MEASURE_EVIDENCE_SCHEMA, measure_id)
+            except SchemaError:
                 raise SchemaError(
                     f"{INGEST_EVIDENCE_JSON}: {measure_id}: needs an integer row_count and "
                     "integer filter_counts below_min, above_max and kept"
-                )
-            total = sum(map(fc.get, _FILTER_KEYS))
+                ) from None
+            total = sum(entry["filter_counts"].values())
             if total != entry["row_count"]:
                 raise SchemaError(
                     f"{measure_id}: filter counts {total} != row_count {entry['row_count']}"

@@ -15,11 +15,16 @@ from reliakit.outputs import (
     MULTIVERSE_SUMMARY_JSON,
     PER_MEASURE_CSV,
     PROVENANCE_JSON,
+    SCHEMAS,
     SUMMARY_JSON,
+    MapOf,
     canonical_json,
     fmt_float,
+    read_csv,
+    read_json,
     render_cell,
     validate_multiverse_csv,
+    validate_per_measure_csv,
     validate_provenance_json,
     validate_summary_json,
     write_csv,
@@ -412,6 +417,50 @@ def _first_level(doc, axis):
     return sorted(doc[axis])[0]
 
 
+def _verify_after_tamper(smoke_run, tmp_path, capsys, name, tamper):
+    """Apply tamper to the path of output `name` in a copy of the smoke run,
+    re-record that file's digest in provenance.json, and run verify. Returns
+    the ids of the failed checks and the checks of the gate report, after
+    asserting that verify exits 4 without a traceback."""
+    from reliakit.hashutil import sha256_file
+
+    ws, out = copy_run(smoke_run, tmp_path)
+    path = out / name
+    tamper(path)
+    provenance = json.loads((out / PROVENANCE_JSON).read_text(encoding="utf-8"))
+    provenance["outputs"][name]["sha256"] = sha256_file(path)
+    (out / PROVENANCE_JSON).write_text(canonical_json(provenance), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["verify", "--mode", "smoke", "--workspace", str(ws), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "Traceback" not in captured.err and "unexpected error" not in captured.err
+    report = json.loads((out / GATE_REPORT_JSON).read_text(encoding="utf-8"))
+    failed = {c["id"] for c in report["checks"] if not c["skipped"] and not c["passed"]}
+    return failed, {c["id"]: c for c in report["checks"]}
+
+
+def _edit_json(edit):
+    def tamper(path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(canonical_json(doc), encoding="utf-8")
+
+    return tamper
+
+
+def _edit_first_ok_row(column, value):
+    """Set one cell of the first ok row of a results CSV."""
+
+    def tamper(path):
+        header, *rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+        row = next(r for r in rows if r[header.index("status")] == "ok")
+        row[header.index(column)] = value
+        path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]), encoding="utf-8")
+
+    return tamper
+
+
 @pytest.mark.parametrize(
     "name, tamper",
     [
@@ -427,26 +476,117 @@ def _first_level(doc, axis):
 def test_verify_fails_r9_on_a_count_that_is_not_an_integer(smoke_run, tmp_path, capsys, name, tamper):
     """A summary count that is not a JSON integer fails R9 alone, even with
     its file's digest re-recorded, and verify exits 4 without a traceback."""
-    from reliakit.hashutil import sha256_file
-
-    ws, out = copy_run(smoke_run, tmp_path)
-    path = out / name
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    tamper(doc)
-    path.write_text(canonical_json(doc), encoding="utf-8")
-    provenance = json.loads((out / PROVENANCE_JSON).read_text(encoding="utf-8"))
-    provenance["outputs"][name]["sha256"] = sha256_file(path)
-    (out / PROVENANCE_JSON).write_text(canonical_json(provenance), encoding="utf-8")
-    capsys.readouterr()
-    code = main(["verify", "--mode", "smoke", "--workspace", str(ws), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 4
-    assert "Traceback" not in captured.err and "unexpected error" not in captured.err
-    report = json.loads((out / GATE_REPORT_JSON).read_text(encoding="utf-8"))
-    failed = {c["id"] for c in report["checks"] if not c["skipped"] and not c["passed"]}
+    failed, checks = _verify_after_tamper(smoke_run, tmp_path, capsys, name, _edit_json(tamper))
     assert failed == {"R9"}
-    r9 = next(c for c in report["checks"] if c["id"] == "R9")
-    assert name in r9["detail"]
+    assert name in checks["R9"]["detail"]
+
+
+@pytest.mark.parametrize(
+    "name, tamper",
+    [
+        (SUMMARY_JSON, lambda doc: doc.update(nlr_delta_median=True)),
+        (SUMMARY_JSON, lambda doc: doc.update(nlr_delta_iqr="x")),
+        (SUMMARY_JSON, lambda doc: doc.update(icc_2_1_iqr={"a": 1})),
+        (MULTIVERSE_SUMMARY_JSON, lambda doc: doc["grand"].update(median_nlr_delta="x")),
+        (MULTIVERSE_SUMMARY_JSON, lambda doc: doc["grand"].update(iqr_nlr_delta=False)),
+        (MULTIVERSE_SUMMARY_JSON, lambda doc: doc["by_k"][_first_level(doc, "by_k")].update(median_nlr_delta=[1])),
+        (MULTIVERSE_SUMMARY_JSON, lambda doc: doc["by_k"].update(banana=doc["by_k"][_first_level(doc, "by_k")])),
+    ],
+)
+def test_verify_fails_r9_on_a_field_of_the_wrong_type(smoke_run, tmp_path, capsys, name, tamper):
+    """A summary number that is a bool or not a number, an IQR that is not
+    a pair, and an axis level outside the grid each fail R9 alone."""
+    failed, checks = _verify_after_tamper(smoke_run, tmp_path, capsys, name, _edit_json(tamper))
+    assert failed == {"R9"}
+    assert name in checks["R9"]["detail"]
+
+
+@pytest.mark.parametrize(
+    "name, column, value, check",
+    [
+        (PER_MEASURE_CSV, "nlr_delta", "nan", "R7"),
+        (PER_MEASURE_CSV, "rho", "inf", "R7"),
+        (PER_MEASURE_CSV, "n", "\u0663", "R7"),  # ARABIC-INDIC DIGIT THREE
+        (PER_MEASURE_CSV, "rho", "0.5e0", "R7"),  # not the %.17g rendering
+        (MULTIVERSE_CSV, "ci_high", "-inf", "R8"),
+    ],
+)
+def test_verify_fails_a_results_cell_that_is_not_finite_or_canonical(
+    smoke_run, tmp_path, capsys, name, column, value, check
+):
+    """An ok row's number must be finite and in its writer's rendering, and
+    a count must be ASCII digits; each such edit fails its file's check
+    alone, with a detail that names the file."""
+    failed, checks = _verify_after_tamper(
+        smoke_run, tmp_path, capsys, name, _edit_first_ok_row(column, value)
+    )
+    assert failed == {check}
+    assert name in checks[check]["detail"] and column in checks[check]["detail"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("base_seed", True), ("bootstrap_b", True), ("bootstrap_b", 0), ("base_seed", 1.5)],
+)
+def test_provenance_seed_and_b_must_be_integers(smoke_run, tmp_path, field, value):
+    """A bool is not a seed or a B, and B is at least 1: the record fails
+    its schema, so every check that reads it (R10-R12) fails."""
+    ws, out = copy_run(smoke_run, tmp_path)
+    path = out / PROVENANCE_JSON
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["outputs"][SUMMARY_JSON][field] = value
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"{PROVENANCE_JSON}:outputs:{SUMMARY_JSON}:{field}"):
+        validate_provenance_json(path)
+    report = run_gate("smoke", ws, out)
+    failed = {c.id for c in report.checks if not c.skipped and not c.passed}
+    assert failed == {"R10", "R11", "R12"}
+    assert PROVENANCE_JSON in checks_by_id(report)["R12"].detail
+
+
+def test_final_mode_r14_names_evidence_that_is_not_utf8(smoke_run, tmp_path):
+    ws, out = copy_run(smoke_run, tmp_path)
+    (out / INGEST_EVIDENCE_JSON).write_bytes(b'{"measures": "\xff"}')
+    r14 = checks_by_id(run_gate("final", ws, out))["R14"]
+    assert not r14.passed
+    assert r14.detail.startswith(f"{INGEST_EVIDENCE_JSON}: invalid JSON")
+
+
+def _described(value, schema) -> bool:
+    """Every key the writer wrote into value has a kind in schema."""
+    if isinstance(schema, MapOf):
+        return all(_described(v, schema.kind) for v in value.values())
+    if isinstance(schema, dict):
+        return set(value) == set(schema) and all(_described(value[k], s) for k, s in schema.items())
+    return True
+
+
+def test_every_output_reads_back_through_its_schema(smoke_run, tmp_path):
+    """Each digested output and provenance.json has a schema, and a smoke
+    run's files read back through it to the values the writers rendered:
+    CSV cells re-render to the file's bytes (the %.17g round trip), and
+    every JSON key is described."""
+    _, out = smoke_run
+    assert set(SCHEMAS) == {*DIGESTED_OUTPUTS, PROVENANCE_JSON}
+    for name, schema in SCHEMAS.items():
+        path = out / name
+        if name.endswith(".csv"):
+            rows = read_csv(path, schema)
+            assert rows and all(row["status"] in ("ok", "insufficient_n", "degenerate") for row in rows)
+            copy = tmp_path / name
+            write_csv(copy, schema, [[render_cell(row[c]) for c in schema] for row in rows])
+            assert copy.read_bytes() == path.read_bytes(), name
+        else:
+            doc = read_json(path, schema)
+            assert canonical_json(doc) == path.read_text(encoding="utf-8"), name
+            assert _described(doc, schema), name
+
+
+def test_output_csv_not_utf8_is_a_schema_error(tmp_path):
+    path = tmp_path / PER_MEASURE_CSV
+    path.write_bytes(b"measure_id\n\xff\n")
+    with pytest.raises(SchemaError, match=f"{PER_MEASURE_CSV}: unreadable CSV"):
+        validate_per_measure_csv(path)
 
 
 @pytest.mark.parametrize("doc", [[], {"measures": {"m": "not an object"}}])
