@@ -114,33 +114,32 @@ def replicate_rng(entropy: int, r: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((entropy, r))))
 
 
-def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hashmix on uint32 words; returns the mixed words and
-    the next hash constant."""
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hashmix on 32-bit words, a Python int or a uint32
+    array; returns the mixed words and the next hash constant."""
     following = (const * mult) & _MASK32
-    value = (value ^ const) * following
+    value = ((value ^ const) * following) & _MASK32
     return value ^ (value >> 16), following
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words, each a Python int or a uint32
+    array. Each product is cut to 32 bits before the two meet, as NumPy
+    refuses a Python int beyond uint32 beside a uint32 array."""
+    out = (((x * _MIX_MULT_L) & _MASK32) - ((y * _MIX_MULT_R) & _MASK32)) & _MASK32
     return out ^ (out >> 16)
 
 
 def _seed_state(entropy: int, r: np.ndarray) -> list[np.ndarray]:
     """SeedSequence((entropy, r)).generate_state(4, uint64) for each r in a
-    uint32 array: four uint64 arrays over r."""
-    words = [
-        np.full(r.shape, (entropy >> shift) & _MASK32, dtype=np.uint32)
-        for shift in range(0, max(entropy.bit_length(), 1), 32)
-    ]
+    uint32 array: four uint64 arrays over r. The entropy words stay Python
+    ints, so the mixing runs on ints until r enters it."""
+    words = [(entropy >> shift) & _MASK32 for shift in range(0, max(entropy.bit_length(), 1), 32)]
     words.append(r)
     const = _INIT_A
     pool = []
     for i in range(_POOL_SIZE):
-        value, const = _hashmix(
-            words[i] if i < len(words) else np.zeros_like(r), const, _MULT_A
-        )
+        value, const = _hashmix(words[i] if i < len(words) else 0, const, _MULT_A)
         pool.append(value)
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):

@@ -38,32 +38,54 @@ Implementation notes that matter for reproducibility:
   all-pairs arithmetic. By the same monotonicity, the points within eps of
   a point along a margin form one run of that margin's sorted row, so nx
   and ny come from binary searches, the same log2(n) steps for every
-  point, with the all-pairs subtraction and strict comparison. So only the
-  fallback's share of the work depends on the data. At n = 600 a count
-  call takes about 0.3 of the all-pairs time; at n near W windows gain
-  nothing, so narrower rows (and k >= W) stay all-pairs.
-* The n leave-one-out samples of the jackknife (nlr_deletion_terms) find
-  eps from the observed sample's nearest neighbours, built once: each
-  point's K = max(ks) + _LOO_MARGIN nearest other points and bound, its
-  (K + 1)-th smallest distance. A deletion row is the observed sample
-  rescaled by sd_full / sd_row in each margin, so in exact arithmetic no
-  non-candidate lies closer than ratio_min * bound, with ratio_min the
-  smaller of the two margins' ratios. eps at each k is the k-th smallest
-  of the all-pairs distances to the candidates other than the deleted
-  point, and where it is at most ratio_min * bound - tau it is the
-  all-pairs eps, bit for bit. tau = 64 * 2**-52 * (max|z_row| +
-  max|z_full|) * max(1, larger ratio) covers the rounding of both
-  standardizations, some ten times over. A point that fails the check, and
-  every point of a deletion with a constant margin, gets eps from its full
-  deletion row; eps = 0 needs no check. nx and ny come from the binary
-  searches above, each deletion row sorted by the observed order less the
-  deleted point, as standardizing is monotone. nlr_deletion_terms takes
-  this path at a k where the deletion rows would be counted in sorted
-  windows (n - 1 > W and k < W), where it took a fifth to a half of their
-  time (n = 114-600, k = 3-6, Gaussian data), and counts narrower deletion
-  rows all pairs: there the candidate path took 3.9, 2.6 and 1.2 times as
-  long at n = 12, 23 and 56, though 0.52 times at n = 100 (k = 4, Gaussian
-  data, 2 CPUs), a range no benchmark workload measures.
+  point, with the all-pairs subtraction and strict comparison (_prefixes;
+  a -inf and a +inf sentinel around each sorted row stand for its ends).
+  So only the fallback's share of the work depends on the data. At n = 600
+  a count call takes about 0.3 of the all-pairs time; at n near W windows
+  gain nothing, so narrower rows (and k >= W) stay all-pairs.
+* The n leave-one-out samples of the jackknife (nlr_deletion_terms) take
+  eps and the counts from the observed sample, examined once: each point's
+  K = max(ks) + _LOO_MARGIN nearest other points (its candidates) in order
+  of distance d_(1) <= ... <= d_(K), and bound, its (K + 1)-th smallest
+  distance; and at each k its k-th nearest, star, and its two prefix
+  lengths along each margin's sorted order at eps = d_k. A deletion row is
+  the observed sample rescaled by r = sd_full / sd_row in each margin (the
+  shift cancels in a difference), so each of its all-pairs distances lies
+  within tau of r_min * d and r_max * d, the observed distance d rescaled
+  by the smaller and the larger of the two margins' ratios. tau = 64 *
+  2**-52 * (max|z_row| + max|z_full|) * max(1, r_max) covers the rounding
+  of both standardizations, some ten times over.
+  Certificate: the deleted point is not a candidate, no margin of the row
+  is constant, d_(k-1) < d_k < d_(k+1), r_max * d_(k-1) + tau < r_min *
+  d_k - tau (no such test at k = 1) and r_max * d_k + tau < r_min *
+  d_(k+1) - tau. A test compares two deletion-row distances, each only
+  known to within tau of its rescaled observed value: the left side bounds
+  the nearer one from above, the right side the farther one from below,
+  so a tau on each side keeps them apart. Where all hold, the k - 1
+  points nearer than star stay nearer, every other point stays farther,
+  and eps is star's distance in the deletion row with the all-pairs
+  arithmetic, bit for bit. Points whose observed gaps are not strict (ties)
+  skip the certificate. A point it does not cover (3-4% of the points of
+  Gaussian data at n = 600) takes the k-th smallest of the all-pairs
+  distances to its candidates other than the deleted point; where that is
+  at most r_min * bound - tau, no other point can come closer and it is the
+  all-pairs eps. A point that fails this check too, and every point of a
+  deletion with a constant margin, gets eps from its full deletion row;
+  eps = 0 needs no check.
+  nx and ny come from the prefix searches above, each deletion row sorted
+  by the observed order less the deleted point, as standardizing is
+  monotone. Each prefix length starts from the observed one, less one
+  where the deleted point sorts inside it, and is kept where the two
+  sorted points at its edge confirm it with the all-pairs subtraction and
+  comparison; only the lengths they refute (about 2% at n = 600) are
+  searched. nlr_deletion_terms takes this path at a k where the deletion
+  rows would be counted in sorted windows (n - 1 > W and k < W). At n =
+  600, k = 4 the jackknife takes about 0.4 of the time of a candidate sort
+  and full binary searches for every point, about 0.15 of counting the
+  deletion rows in windows. Narrower deletion rows are counted all pairs:
+  there a candidate path took 3.9, 2.6 and 1.2 times as long at n = 12, 23
+  and 56, though 0.52 times at n = 100 (k = 4, Gaussian data, 2 CPUs), a
+  range no benchmark workload measures.
 * Every stage works on rows: the (m, n) arrays hold m samples of n pairs
   (bootstrap replicates, jackknife deletions, or one observed sample), and
   ranks, standardization, correlation, neighbour counts and the digamma
@@ -106,6 +128,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -129,7 +152,8 @@ _BLOCK_ELEMENTS = 1 << 15  # distance-matrix elements per count block
 _WINDOW_GROUP = 16
 _WINDOW_MARGIN = 48
 # Leave-one-out eps: each point's max(ks) + _LOO_MARGIN nearest other
-# points of the observed sample are its candidates. Jackknife at n = 600,
+# points of the observed sample are its candidates. Chosen when every point
+# took the candidate sort; jackknife at n = 600,
 # k = 4 (2 CPUs, median CPU time of 3): on Gaussian data no point falls back
 # and margins 3, 6, 8 and 12 took 0.16, 0.17, 0.19 and 0.26 s (counting the
 # deletion rows: 0.59 s); on accuracy scores of 20 binomial trials 41%, 13%,
@@ -395,52 +419,84 @@ def _window_eps(s: np.ndarray, t: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     return eps.reshape(m, -1)[:, :n], ok.reshape(m, -1)[:, :n]
 
 
-def _strip_counts(s: np.ndarray, order: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Count, for every point i of each (m, n) row of s, the other points j
-    with |fl(s_i - s_j)| < eps_i, as _ksg_counts_brute counts them.
+def _search(flat: np.ndarray, first: np.ndarray, n: int, s: np.ndarray, bound: np.ndarray, within) -> np.ndarray:
+    """Length of the prefix of sorted points j with within(fl(s_j - s_i),
+    bound_i), for every entry i of s: flat holds sorted rows of n points end
+    to end, each between a -inf and a +inf sentinel, and first the flat
+    index of each entry's row's -inf. A binary search, the same log2(n)
+    steps for every entry."""
+    length = np.zeros(s.shape, dtype=np.intp)
+    probe, d, passes = np.empty(s.shape, dtype=np.intp), np.empty(s.shape), np.empty(s.shape, dtype=bool)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        # does the sorted point at length + step - 1 pass? Past the row's
+        # end the +inf sentinel fails
+        np.minimum(np.add(length, step, out=probe), n + 1, out=probe)
+        np.subtract(np.take(flat, np.add(probe, first, out=probe), out=d), s, out=d)
+        length += np.multiply(within(d, bound, out=passes), step, out=probe)
+        step >>= 1
+    return length
 
-    order sorts each row ascending. Rounding a subtraction is monotone, so
-    fl(s_j - s_i) never decreases along the sorted row: the points with
-    fl(s_j - s_i) < eps_i, and those with fl(s_j - s_i) <= -eps_i, are
-    prefixes of it. A binary search finds the length of each, the same
-    log2(n) steps for every point, and the count is their difference less
-    the point itself (none when eps_i = 0)."""
+
+def _prefixes(s: np.ndarray, order: np.ndarray, eps: np.ndarray, guess=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths of two prefixes of each (m, n) row of s sorted by order,
+    for every point i of the row: of the points j with fl(s_j - s_i) <
+    eps_i, and of those with fl(s_j - s_i) <= -eps_i.
+
+    Rounding a subtraction is monotone, so fl(s_j - s_i) never decreases
+    along the sorted row and both sets are prefixes of it. A length in
+    guess is kept where the sorted points on its two edges confirm it (the
+    one before it passes, the one at it fails), with the same subtraction
+    and comparison; every other length comes from a binary search
+    (_search). A -inf before each sorted row and a +inf after it stand for
+    the edges past its ends: fl(-inf - s_i) passes both tests for any eps_i,
+    and fl(+inf - s_i) fails both."""
     m, n = s.shape
-    flat = np.take_along_axis(s, order, 1).ravel()
-    last = (np.arange(m) * n + n - 1)[:, None]  # flat index of each row's last point
-    probe, d = np.empty((m, n), dtype=np.intp), np.empty((m, n))
-    fits, passes = np.empty((m, n), dtype=bool), np.empty((m, n), dtype=bool)
+    padded = np.empty((m, n + 2))
+    padded[:, 0], padded[:, -1] = -np.inf, np.inf
+    padded[:, 1:-1] = np.take(s, order + (np.arange(m) * n)[:, None])
+    flat = padded.ravel()
+    first = (np.arange(m) * (n + 2))[:, None]
+    lengths = []
+    for within, bound, length in zip((np.less, np.less_equal), (eps, -eps), guess):
+        if length is None:
+            lengths.append(_search(flat, first, n, s, bound, within))
+            continue
+        edge = np.add(length, first)  # flat index of the sorted point before it
+        d = np.subtract(np.take(flat, edge), s)
+        good = within(d, bound)
+        np.subtract(np.take(flat, np.add(edge, 1, out=edge), out=d), s, out=d)
+        good &= ~within(d, bound)
+        miss = np.flatnonzero(~good)
+        length.reshape(-1)[miss] = _search(
+            flat, first[miss // n, 0], n, np.take(s, miss), np.take(bound, miss), within
+        )
+        lengths.append(length)
+    return lengths[0], lengths[1]
 
-    def prefix(within, bound):
-        length = np.zeros((m, n), dtype=np.intp)
-        step = 1 << (n.bit_length() - 1)
-        while step:
-            # does the sorted point at length + step - 1 pass? Past the row's
-            # end it fails, whatever the value at its last point
-            np.add(length, step - n, out=probe)
-            np.less_equal(probe, 0, out=fits)
-            np.add(np.minimum(probe, 0, out=probe), last, out=probe)
-            np.subtract(np.take(flat, probe, out=d), s, out=d)
-            np.logical_and(within(d, bound, out=passes), fits, out=passes)
-            length += np.multiply(passes, step, out=probe)
-            step >>= 1
-        return length
 
-    inside = prefix(np.less, eps)
-    inside -= prefix(np.less_equal, -eps)
+def _strip_counts(s: np.ndarray, order: np.ndarray, eps: np.ndarray, guess=(None, None)) -> np.ndarray:
+    """Count, for every point i of each (m, n) row of s, the other points j
+    with |fl(s_i - s_j)| < eps_i, as _ksg_counts_brute counts them: the
+    difference of the two prefix lengths of _prefixes (each started from
+    guess where one is given), less the point itself (none when eps_i =
+    0)."""
+    inside, below = _prefixes(s, order, eps, guess)
+    inside -= below
     return np.maximum(inside, 0, out=inside) - (eps > 0)
 
 
 def _certified_counts(
-    x: np.ndarray, y: np.ndarray, k: int, ox: np.ndarray, oy: np.ndarray, eps: np.ndarray, ok: np.ndarray
+    x: np.ndarray, y: np.ndarray, k: int, ox: np.ndarray, oy: np.ndarray, eps: np.ndarray, ok: np.ndarray,
+    guess_x=(None, None), guess_y=(None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counts (nx, ny) of every point of the (m, n) rows x and y: eps is
     taken where its check ok holds, and a point that fails it gets eps from
-    its full row; both counts come from binary searches of the rows sorted
-    by ox and oy."""
+    its full row; both counts come from the prefixes of the rows sorted by
+    ox and oy (_strip_counts, started from guess_x and guess_y)."""
     row, point = np.nonzero(~ok)
     eps[row, point] = _ksg_eps_points(x, y, k, row, point)
-    return _strip_counts(x, ox, eps), _strip_counts(y, oy, eps)
+    return _strip_counts(x, ox, eps, guess_x), _strip_counts(y, oy, eps, guess_y)
 
 
 def _ksg_counts_window(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -485,13 +541,15 @@ def _ksg_rows(x1: np.ndarray, x2: np.ndarray, ks) -> list[np.ndarray]:
     return [_ksg_term(t, k, *_ksg_counts(z1, z2, k)) for k in ks]
 
 
-def _nearest_others(z1: np.ndarray, z2: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_others(z1: np.ndarray, z2: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The size nearest other points of every point of the standardized
-    sample (z1, z2), in the max norm with the all-pairs arithmetic, as an
-    (n, size) index array, and bound: each point's (size + 1)-th smallest
-    distance, below which no other point lies (inf where size = n - 1)."""
+    sample (z1, z2), in the max norm with the all-pairs arithmetic: an
+    (n, size) index array ordered by distance, their distances, and bound,
+    each point's (size + 1)-th smallest distance, below which no other
+    point lies (inf where size = n - 1)."""
     n = z1.size
     near = np.empty((n, size), dtype=np.intp)
+    dist = np.empty((n, size))
     bound = np.empty(n)
     rows = max(1, _BLOCK_ELEMENTS // n)
     shape = (min(rows, n), n)
@@ -505,40 +563,84 @@ def _nearest_others(z1: np.ndarray, z2: np.ndarray, size: int) -> tuple[np.ndarr
         own = np.arange(stop - i)
         d[own, i + own] = np.inf
         order = np.argpartition(d, size, axis=1)
-        near[i:stop] = order[:, :size]
         bound[i:stop] = d[own, order[:, size]]
-    return near, bound
+        dist[i:stop] = np.take_along_axis(d, order[:, :size], 1)
+        by_distance = np.argsort(dist[i:stop], axis=1, kind="stable")
+        near[i:stop] = np.take_along_axis(order, by_distance, 1)
+        dist[i:stop] = np.take_along_axis(dist[i:stop], by_distance, 1)
+    return near, dist, bound
 
 
-def _near_eps(z1: np.ndarray, z2: np.ndarray, full: np.ndarray, gone: np.ndarray, near: np.ndarray, ks) -> np.ndarray:
-    """eps at each k in ks of every position of the (m, n - 1) deletion rows
-    z1 and z2, among the point's observed nearest others (near) other than
-    the deleted point gone; full maps each position to its observed point.
-    A (len(ks), m, n - 1) array, inf where fewer than k of them remain."""
-    m, w = z1.shape
+class _Star(NamedTuple):
+    """What the observed sample says of each point's eps at one k. points
+    are the points whose sorted candidate distances pass the strict gap test
+    d_(k-1) < d_k < d_(k+1) (no d_(k-1) at k = 1, read as -inf); star, below,
+    at and above hold, for each of them, its k-th nearest other point and
+    those three distances. prefixes1 and prefixes2 hold every point's two
+    prefix lengths of _prefixes at eps = d_k, in each margin's sorted
+    order."""
+
+    points: np.ndarray
+    star: np.ndarray
+    below: np.ndarray
+    at: np.ndarray
+    above: np.ndarray
+    prefixes1: tuple[np.ndarray, np.ndarray]
+    prefixes2: tuple[np.ndarray, np.ndarray]
+
+
+def _observed_star(z1, z2, sorted1, sorted2, near, dist, k) -> _Star:
+    """_Star of the standardized observed sample (z1, z2) at k, from its
+    candidates near and their distances dist, both ordered by distance,
+    and the orders sorted1 and sorted2 that sort each margin."""
+    below = dist[:, k - 2] if k > 1 else np.full(z1.size, -np.inf)
+    at, above = dist[:, k - 1], dist[:, k]
+    points = np.flatnonzero((below < at) & (at < above))
+    return _Star(
+        points=points,
+        star=near[points, k - 1],
+        below=below[points],
+        at=at[points],
+        above=above[points],
+        prefixes1=tuple(p[0] for p in _prefixes(z1[None], sorted1[None], at[None])),
+        prefixes2=tuple(p[0] for p in _prefixes(z2[None], sorted2[None], at[None])),
+    )
+
+
+def _near_eps(
+    z1: np.ndarray, z2: np.ndarray, full: np.ndarray, gone: np.ndarray, near: np.ndarray, ks, at: np.ndarray
+) -> np.ndarray:
+    """eps at each k in ks of the positions at (flat indices) of the
+    (m, n - 1) deletion rows z1 and z2, among the point's observed nearest
+    others (near) other than its row's deleted point in gone; full maps each
+    position to its observed point. A (len(ks), at.size) array, inf where
+    fewer than k of them remain."""
+    w = z1.shape[1]
     size = near.shape[1]
-    eps = np.empty((len(ks), m, w))
+    eps = np.empty((len(ks), at.size))
     pick = [k - 1 for k in ks]
-    step = max(1, _BLOCK_ELEMENTS // (w * size))  # rows per gather
-    shape = (min(step, m), w, size)
+    flat1, flat2 = z1.ravel(), z2.ravel()
+    step = max(1, _BLOCK_ELEMENTS // size)  # entries per gather
+    shape = (min(step, at.size), size)
     c_buf, d1_buf, d_buf = np.empty(shape, dtype=np.intp), np.empty(shape), np.empty(shape)
     dead_buf, after_buf = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    flat1, flat2 = z1.ravel(), z2.ravel()
-    for a in range(0, m, step):
-        b = min(a + step, m)
-        c, d1, d, dead, after = (buf[: b - a] for buf in (c_buf, d1_buf, d_buf, dead_buf, after_buf))
-        np.take(near, full[a:b], axis=0, out=c)
-        g = gone[a:b, None, None]
+    for a in range(0, at.size, step):
+        q = at[a : a + step]
+        c, d1, d, dead, after = (buf[: q.size] for buf in (c_buf, d1_buf, d_buf, dead_buf, after_buf))
+        row = q // w
+        np.take(near, np.take(full, q), axis=0, out=c)
+        g = np.take(gone, row)[:, None]
         np.equal(c, g, out=dead)
         c -= np.greater(c, g, out=after)  # observed point to its deletion-row position
         np.minimum(c, w - 1, out=c)  # the deleted point itself, masked below
-        c += (np.arange(a, b) * w)[:, None, None]
-        np.abs(np.subtract(z1[a:b, :, None], np.take(flat1, c, out=d1), out=d1), out=d1)
-        np.abs(np.subtract(z2[a:b, :, None], np.take(flat2, c, out=d), out=d), out=d)
+        c += (row * w)[:, None]
+        q = q[:, None]
+        np.abs(np.subtract(np.take(flat1, q), np.take(flat1, c, out=d1), out=d1), out=d1)
+        np.abs(np.subtract(np.take(flat2, q), np.take(flat2, c, out=d), out=d), out=d)
         np.maximum(d1, d, out=d)
         np.copyto(d, np.inf, where=dead)
-        d.sort(axis=2)
-        eps[:, a:b] = np.moveaxis(d[:, :, pick], 2, 0)
+        d.sort(axis=1)
+        eps[:, a : a + step] = d[:, pick].T
     return eps
 
 
@@ -549,6 +651,43 @@ def _order_without(order: np.ndarray, gone: np.ndarray) -> np.ndarray:
     kept = order != gone[:, None]
     rows = np.broadcast_to(order, kept.shape)[kept].reshape(gone.size, -1)
     return rows - (rows > gone[:, None])
+
+
+def _guess(prefix: np.ndarray, full: np.ndarray, gone_rank: np.ndarray) -> np.ndarray:
+    """A deletion row's prefix lengths from the observed ones: one less
+    where the deleted point sorts inside the prefix."""
+    length = np.take(prefix, full)
+    length -= gone_rank < length
+    return length
+
+
+def _certify(
+    o: _Star, r1: np.ndarray, r2: np.ndarray, gone: np.ndarray, low: np.ndarray, high: np.ndarray, slack: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where the certificate holds at one k, for every position of the
+    (m, n - 1) deletion rows r1 and r2, and eps there: the point's all-pairs
+    distance to its observed k-th nearest. It holds where the point passes
+    the observed gap test (o) and the rescaled gaps hold, with low and high
+    the smaller and larger margin ratio of each row and slack its rounding
+    allowance. Whether the deleted point is a candidate, or a margin
+    constant, is left to the caller."""
+    m, w = r1.shape
+    offset = (np.arange(m) * w)[:, None]
+    at = o.points - (o.points > gone[:, None])  # deletion-row positions
+    star = o.star - (o.star > gone[:, None])
+    np.minimum(star, w - 1, out=star)  # the deleted point itself, not certified
+    star += offset
+    at += offset
+    here = np.minimum(at, m * w - 1)  # the deleted point's entry, dropped below
+    distance = np.maximum(
+        np.abs(np.take(r1, here) - np.take(r1, star)), np.abs(np.take(r2, here) - np.take(r2, star))
+    )
+    with np.errstate(invalid="ignore"):
+        ok = (high * o.below + slack < low * o.at - slack) & (high * o.at + slack < low * o.above - slack)
+    np.copyto(at, m * w, where=o.points == gone[:, None])  # to a spare last entry
+    eps, certified = np.empty(m * w + 1), np.zeros(m * w + 1, dtype=bool)
+    eps[at], certified[at] = distance, ok
+    return certified[:-1].reshape(m, w), eps[:-1].reshape(m, w)
 
 
 def nlr_deletion_terms(x1: np.ndarray, x2: np.ndarray, ks, corr_methods) -> tuple[np.ndarray, np.ndarray]:
@@ -562,9 +701,9 @@ def nlr_deletion_terms(x1: np.ndarray, x2: np.ndarray, ks, corr_methods) -> tupl
 
     Each block of deletion rows is built and standardized once for every k
     and method. A k whose deletion rows are no wider than a window is
-    counted all pairs on them; a wider one takes eps from the observed
-    sample's nearest neighbours, certified exact against the rest of the
-    deletion row (see the module docstring).
+    counted all pairs on them; a wider one takes eps and the counts from
+    the observed sample, certified exact against the deletion row (see the
+    module docstring).
     """
     ks = tuple(_check_k(k) for k in ks)
     corr_methods = [CorrMethod(method) for method in corr_methods]
@@ -584,9 +723,14 @@ def nlr_deletion_terms(x1: np.ndarray, x2: np.ndarray, ks, corr_methods) -> tupl
     if windowed:
         near_ks = [ks[j] for j in windowed]
         (z1, s1), (z2, s2) = _standardize_sd(x1), _standardize_sd(x2)
-        near, bound = _nearest_others(z1, z2, min(max(near_ks) + _LOO_MARGIN, n - 1))
+        near, dist, bound = _nearest_others(z1, z2, min(max(near_ks) + _LOO_MARGIN, n - 1))
         reach = max(np.abs(z1).max(), np.abs(z2).max())
         sorted1, sorted2 = np.argsort(x1, kind="stable"), np.argsort(x2, kind="stable")
+        rank1, rank2 = np.argsort(sorted1), np.argsort(sorted2)
+        stars = {j: _observed_star(z1, z2, sorted1, sorted2, near, dist, ks[j]) for j in windowed}
+        # the points whose candidates hold each observed point, by that point
+        held = np.argsort(near, axis=None, kind="stable")
+        held_point, held_by = near.ravel()[held], held // near.shape[1]
     t = digamma_table(n - 1)
     kept = np.arange(n - 1)
     step = max(1, _BLOCK_ELEMENTS // (n - 1))  # the deletion rows of bootstrap.deletion_blocks
@@ -598,26 +742,50 @@ def nlr_deletion_terms(x1: np.ndarray, x2: np.ndarray, ks, corr_methods) -> tupl
         for j, method in enumerate(corr_methods):
             mi_gauss[j, block] = _gaussian_mi_rows(_corr_rows(raw1, raw2, method))
         (r1, sd1), (r2, sd2) = _standardize_sd(raw1), _standardize_sd(raw2)
-        near_eps = {}
-        if windowed:
-            reach_row = np.maximum(np.abs(r1), np.abs(r2)).max(axis=1, keepdims=True)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio1, ratio2 = s1 / sd1, s2 / sd2
-                slack = _LOO_ROUNDING * (reach_row + reach) * np.maximum(1.0, np.maximum(ratio1, ratio2))
-                lower = np.minimum(ratio1, ratio2) * bound[full] - slack
-            # a constant deletion margin is no rescaling of the observed one;
-            # eps = 0 needs no check, as no distance lies below it
-            lower[((sd1 == 0.0) | (sd2 == 0.0))[:, 0]] = -np.inf
-            np.maximum(lower, 0.0, out=lower)
-            order1, order2 = _order_without(sorted1, gone), _order_without(sorted2, gone)
-            near_eps = dict(zip(windowed, _near_eps(r1, r2, full, gone, near, near_ks)))
         for j in live:
-            k, eps = ks[j], near_eps.get(j)
-            if eps is None:
-                counts = _ksg_counts_brute(r1, r2, k)
-            else:
-                counts = _certified_counts(r1, r2, k, order1, order2, eps, eps <= lower)
-            mi_ksg[j, block] = _ksg_term(t, k, *counts)
+            if j not in windowed:
+                mi_ksg[j, block] = _ksg_term(t, ks[j], *_ksg_counts_brute(r1, r2, ks[j]))
+        if not windowed:
+            continue
+        reach_row = np.maximum(np.abs(r1), np.abs(r2)).max(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio1, ratio2 = s1 / sd1, s2 / sd2
+            slack = _LOO_ROUNDING * (reach_row + reach) * np.maximum(1.0, np.maximum(ratio1, ratio2))
+        low, high = np.minimum(ratio1, ratio2), np.maximum(ratio1, ratio2)
+        # a constant deletion margin is no rescaling of the observed one, and
+        # a deleted candidate changes the ranks of the others
+        constant = ((sd1 == 0.0) | (sd2 == 0.0))[:, 0]
+        intact = np.ones(full.shape, dtype=bool)
+        intact[constant] = False
+        a, b = np.searchsorted(held_point, (start, block.stop))
+        held_row, by = held_point[a:b] - start, held_by[a:b]
+        intact[held_row, by - (by > gone[held_row])] = False
+        certified, eps = {}, {}
+        for j in windowed:
+            certified[j], eps[j] = _certify(stars[j], r1, r2, gone, low, high, slack)
+            certified[j] &= intact
+        # the other points take eps from their candidates, checked against
+        # the nearest non-candidate; eps = 0 needs no check
+        at = np.flatnonzero(~np.logical_and.reduce([certified[j] for j in windowed]))
+        row = at // (n - 1)
+        with np.errstate(invalid="ignore"):
+            lower = low[row, 0] * bound[np.take(full, at)] - slack[row, 0]
+        lower[constant[row]] = -np.inf
+        np.maximum(lower, 0.0, out=lower)
+        near_eps = _near_eps(r1, r2, full, gone, near, near_ks, at)
+        order1, order2 = _order_without(sorted1, gone), _order_without(sorted2, gone)
+        gone1, gone2 = rank1[gone][:, None], rank2[gone][:, None]
+        for j, candidate in zip(windowed, near_eps):
+            ok = certified[j].reshape(-1)
+            take = ~ok[at]
+            eps[j].reshape(-1)[at[take]] = candidate[take]
+            ok[at[take]] = candidate[take] <= lower[take]
+            counts = _certified_counts(
+                r1, r2, ks[j], order1, order2, eps[j], certified[j],
+                tuple(_guess(prefix, full, gone1) for prefix in stars[j].prefixes1),
+                tuple(_guess(prefix, full, gone2) for prefix in stars[j].prefixes2),
+            )
+            mi_ksg[j, block] = _ksg_term(t, ks[j], *counts)
     return mi_ksg, mi_gauss
 
 

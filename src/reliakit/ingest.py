@@ -552,17 +552,6 @@ def filter_trials(
     )
 
 
-def _cell_score(values: np.ndarray, condition: str, recipe: AggregationRecipe) -> float | None:
-    if values.size == 0:
-        return None
-    if recipe.unit != "ms" and (values == MISSING_ACCURACY).any():
-        raise IngestError(
-            "accuracy outcome requested but accuracy column is empty "
-            f"for condition {condition!r}"
-        )
-    return float(np.mean(values))
-
-
 def aggregate_scores(
     table: TrialTable, rows: np.ndarray, recipe: AggregationRecipe
 ) -> tuple[dict[tuple[str, int], float], list[str]]:
@@ -570,27 +559,50 @@ def aggregate_scores(
     in file order); cells with no trials are recorded and excluded rather
     than scored.
 
-    Rows are grouped by a stable argsort on (subject, session), so each
-    cell mean runs over its trials in file order."""
-    key = table.subject[rows].astype(np.int64) * 2 + (table.session[rows] - 1)
+    Rows are grouped by a stable argsort on (subject, session, condition),
+    so each group holds its trials in file order. The means of all groups
+    of one condition with the same trial count come from one row-wise mean
+    of a C-contiguous (groups, count) array, which sums each row as the
+    1-d mean of its trials does."""
+    conditions = max(len(table.conditions), 1)
+    key = (table.subject[rows].astype(np.int64) * 2 + (table.session[rows] - 1)) * conditions
+    key += table.condition[rows]
     order = np.argsort(key, kind="stable")
     rows, key = rows[order], key[order]
-    bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))  # cell edges
+    start = np.flatnonzero(np.diff(key, prepend=-1))  # group edges
+    size = np.diff(start, append=key.size)
+    group_cell, group_condition = np.divmod(key[start], conditions)
+    cells = np.unique(group_cell)
     values = table.rt_ms[rows] if recipe.unit == "ms" else table.accuracy[rows]
-    condition = table.condition[rows]
     wanted = [recipe.condition_a]
     if recipe.outcome == "condition_contrast":
         wanted.append(recipe.condition_b)
-    codes = [_code(table.conditions, name) for name in wanted]
+    means = np.empty((len(wanted), cells.size))
+    present = np.zeros((len(wanted), cells.size), dtype=bool)
+    first_missing = None  # (cell, wanted index) of the first group with an empty accuracy
+    for w, name in enumerate(wanted):
+        groups = np.flatnonzero(group_condition == _code(table.conditions, name))
+        column = np.searchsorted(cells, group_cell[groups])
+        for count in np.unique(size[groups]).tolist():
+            pick = size[groups] == count
+            block = values[start[groups[pick], None] + np.arange(count)]
+            if recipe.unit != "ms":
+                empty = np.flatnonzero((block == MISSING_ACCURACY).any(axis=1))
+                if empty.size:
+                    found = (int(column[pick][empty[0]]), w)
+                    first_missing = min(first_missing or found, found)
+            means[w, column[pick]] = block.mean(axis=1)
+        present[w, column] = True
+    if first_missing is not None:
+        raise IngestError(
+            "accuracy outcome requested but accuracy column is empty "
+            f"for condition {wanted[first_missing[1]]!r}"
+        )
     scores: dict[tuple[str, int], float] = {}
     zero_cells: list[str] = []
-    for lo, hi, cell_key in zip(bounds[:-1], bounds[1:], key[bounds[:-1]].tolist()):
+    for cell_key, cell, has in zip(cells.tolist(), means.T.tolist(), present.T.tolist()):
         subject, session = table.subjects[cell_key // 2], cell_key % 2 + 1
-        cell = [
-            _cell_score(values[lo:hi][condition[lo:hi] == code], name, recipe)
-            for name, code in zip(wanted, codes)
-        ]
-        missing = [name for name, score in zip(wanted, cell) if score is None]
+        missing = [name for name, there in zip(wanted, has) if not there]
         if missing:
             zero_cells.append(f"{subject}/s{session}/{missing[0]}")
             continue

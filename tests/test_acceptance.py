@@ -360,7 +360,7 @@ def test_acceptance_11_gate_pass_and_tamper(tmp_path):
     cmd_multiverse(config)
 
     clean = run_gate("smoke", ws, out)
-    ok = clean.overall and clean.executed == 12 and clean.skipped == 4
+    ok = clean.overall and clean.executed == 13 and clean.skipped == 3
 
     # tamper each pinned file in a scratch copy; the matching check and the
     # overall verdict must both flip. A trailing newline leaves the parsed
@@ -376,7 +376,7 @@ def test_acceptance_11_gate_pass_and_tamper(tmp_path):
         ok = ok and not tampered.overall and failed == {"R6", "R10"}
     report(
         11,
-        "gate: 12 executed + 4 skipped on clean workspace; pinned-file tampering flips it",
+        "gate: 13 executed + 3 skipped on clean workspace; pinned-file tampering flips it",
         ok,
     )
 

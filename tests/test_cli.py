@@ -388,11 +388,11 @@ def test_cli_verify_smoke_passes(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "gate PASSED (12 executed, 4 skipped)" in out
+    assert "gate PASSED (13 executed, 3 skipped)" in out
     lines = [l for l in out.splitlines() if l.strip().startswith("R")]
     assert len(lines) == 16
-    assert sum("PASS" in l for l in lines) == 12
-    assert sum("SKIP" in l for l in lines) == 4
+    assert sum("PASS" in l for l in lines) == 13
+    assert sum("SKIP" in l for l in lines) == 3
     assert (tmp_path / "out" / "gate_report.json").is_file()
 
 

@@ -439,6 +439,55 @@ def test_aggregate_is_trial_order_invariant(tmp_path):
     assert forward == backward
 
 
+def _per_cell_scores(table, rows, recipe):
+    """aggregate_scores one cell at a time: each (subject, session) in
+    sorted order, each wanted condition's trials in file order, one 1-d
+    np.mean per condition."""
+    wanted = [recipe.condition_a] + ([recipe.condition_b] if recipe.condition_b else [])
+    column = table.rt_ms if recipe.unit == "ms" else table.accuracy
+    scores, zero = {}, []
+    cells = sorted({(int(table.subject[r]), int(table.session[r])) for r in rows})
+    for subject, session in cells:
+        means = []
+        for name in wanted:
+            code = table.conditions.index(name) if name in table.conditions else -1
+            trials = [
+                r for r in rows
+                if (table.subject[r], table.session[r], table.condition[r]) == (subject, session, code)
+            ]
+            means.append(float(np.mean(column[trials])) if trials else None)
+        label = table.subjects[subject]
+        if None in means:
+            zero.append(f"{label}/s{session}/{wanted[means.index(None)]}")
+        else:
+            scores[(label, session)] = means[0] - means[1] if len(means) == 2 else means[0]
+    return scores, zero
+
+
+def test_grouped_means_equal_the_per_cell_loop_on_ragged_cells(tmp_path):
+    # the smoke fixture's cells hold different trial counts per condition,
+    # and some conditions none; every score must carry the same bits
+    from reliakit.fixtures import ensure_smoke_workspace
+    from reliakit.registry import load_contract
+
+    ws = ensure_smoke_workspace(tmp_path / "ws")
+    table = read_long_csv(ws / "data" / "processed" / "long.csv")
+    counts = set()
+    for measure in load_contract(ws / "contracts" / "measures.json").entries:
+        rows = np.flatnonzero(table.task == table.tasks.index(measure.task))
+        rows = rows[filter_trials(table.rt_ms[rows])[0]]
+        got, got_zero = aggregate_scores(table, rows, measure.aggregation)
+        want, want_zero = _per_cell_scores(table, rows.tolist(), measure.aggregation)
+        assert got_zero == want_zero
+        assert [(key, value.hex()) for key, value in got.items()] == [
+            (key, value.hex()) for key, value in want.items()
+        ]
+        key = table.subject[rows].astype(np.int64) * 2 * len(table.conditions)
+        key += (table.session[rows] - 1) * len(table.conditions) + table.condition[rows]
+        counts |= set(np.unique(key, return_counts=True)[1].tolist())
+    assert len(counts) > 1
+
+
 def test_pair_sessions_drops_incomplete_subjects():
     scores = {("A", 1): 10.0, ("A", 2): 12.0, ("B", 1): 9.0}
     sample, dropped = pair_sessions(scores, "m")

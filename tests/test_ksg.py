@@ -288,10 +288,16 @@ def _deletion_sample(kind, seed, n):
         x[rng.integers(n)] = 0.9
     elif kind == "offset":
         x, y = x + 1e7, y - 3e7
+    elif kind == "near ties":
+        # a grid whose neighbours lie a few ulps nearer or farther than one
+        # step: only the rounding allowance keeps their order certain
+        grid = np.arange(n, dtype=np.float64)
+        x = grid + rng.integers(-3, 4, n) * np.spacing(grid + 1.0)
+        y = 2.0 * x + rng.integers(-3, 4, n) * np.spacing(2.0 * grid + 2.0)
     return make_sample(x, y)
 
 
-DELETION_KINDS = ["gauss", "rounded", "x ties", "outlier", "cluster", "constant", "ceiling", "offset"]
+DELETION_KINDS = ["gauss", "rounded", "x ties", "outlier", "cluster", "constant", "ceiling", "offset", "near ties"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -310,6 +316,67 @@ def test_deletion_terms_equal_the_deletion_rows(kind, seed, n, ks):
     got = nlr_deletion_terms(sample.x1, sample.x2, ks, METHODS)
     assert got[0].shape == (len(ks), n) and got[1].shape == (len(METHODS), n)
     _assert_terms_equal(got, _deletion_rows_terms(sample, ks))
+
+
+class _CertificateSpy:
+    """Counts, over nlr_deletion_terms calls, the observed points that fail
+    the strict gap test, and the deletion-row positions that the
+    certificate leaves to the candidate sort, of all positions."""
+
+    def __init__(self, mp):
+        self.gap_failures = self.uncertified = self.positions = 0
+        observed_star, near_eps = estimators._observed_star, estimators._near_eps
+
+        def star(z1, *args):
+            observed = observed_star(z1, *args)
+            self.gap_failures += z1.size - observed.points.size
+            return observed
+
+        def near(z1, z2, full, gone, near, ks, at):
+            self.uncertified += at.size
+            self.positions += z1.size
+            return near_eps(z1, z2, full, gone, near, ks, at)
+
+        mp.setattr(estimators, "_observed_star", star)
+        mp.setattr(estimators, "_near_eps", near)
+
+
+def _check_certified_terms(kind, seed, n, ks):
+    sample = _deletion_sample(kind, seed, n)
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _CertificateSpy(mp)
+        got = nlr_deletion_terms(sample.x1, sample.x2, ks, METHODS)
+    _assert_terms_equal(got, _deletion_rows_terms(sample, ks))
+    if kind == "gauss":
+        # distinct distances: the certificate takes most points
+        assert spy.uncertified < 0.5 * spy.positions
+    if kind in ("rounded", "x ties"):
+        assert spy.uncertified > 0
+    if kind == "rounded":
+        assert spy.gap_failures > 0
+    return spy
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(DELETION_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(114, 200),
+    ks=st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True),
+)
+def test_certified_deletion_terms_equal_the_deletion_rows(kind, seed, n, ks):
+    # every deletion row is wider than a window: eps of each point comes
+    # from its observed k-th nearest where the certificate holds, from its
+    # candidates or its full row elsewhere, and each count from the
+    # observed prefix lengths where its two edges confirm them
+    _check_certified_terms(kind, seed, n, ks)
+
+
+@pytest.mark.parametrize("kind", DELETION_KINDS)
+def test_certified_deletion_terms_at_600_subjects(kind):
+    spy = _check_certified_terms(kind, 600, 600, (4,))
+    if kind == "x ties":
+        assert spy.gap_failures > 0
 
 
 def test_deletion_terms_check_their_eps(monkeypatch):

@@ -38,7 +38,7 @@ from reliakit.provenance import (
 )
 
 ALL_CHECK_IDS = [f"R{i}" for i in range(1, 17)]
-FINAL_ONLY = {"R13", "R14", "R15", "R16"}
+FINAL_ONLY = {"R13", "R15", "R16"}
 
 
 @pytest.fixture(scope="module")
@@ -238,8 +238,8 @@ def test_gate_smoke_all_green(smoke_run):
     ws, out = smoke_run
     report = run_gate("smoke", ws, out)
     assert report.overall
-    assert report.executed == 12
-    assert report.skipped == 4
+    assert report.executed == 13
+    assert report.skipped == 3
     by_id = checks_by_id(report)
     assert [c.id for c in report.checks] == ALL_CHECK_IDS
     for check_id in ALL_CHECK_IDS:
@@ -275,8 +275,8 @@ def test_gate_report_round_trip(smoke_run, tmp_path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["overall"] is True
     assert doc["mode"] == "smoke"
-    assert doc["executed"] == 12
-    assert doc["skipped"] == 4
+    assert doc["executed"] == 13
+    assert doc["skipped"] == 3
     assert len(doc["checks"]) == 16
 
 
@@ -459,6 +459,15 @@ def _edit_first_ok_row(column, value):
         path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]), encoding="utf-8")
 
     return tamper
+
+
+def test_smoke_verify_fails_r14_on_empty_ingest_evidence(smoke_run, tmp_path, capsys):
+    """Smoke mode reads ingest_evidence.json too: an empty list, with its
+    digest re-recorded, fails R14 alone."""
+    tamper = lambda path: path.write_text("[]", encoding="utf-8")  # noqa: E731
+    failed, checks = _verify_after_tamper(smoke_run, tmp_path, capsys, INGEST_EVIDENCE_JSON, tamper)
+    assert failed == {"R14"}
+    assert INGEST_EVIDENCE_JSON in checks["R14"]["detail"]
 
 
 @pytest.mark.parametrize(
