@@ -6,6 +6,11 @@ correlation), classical ICC(2,1)/ICC(3,1), BCa bootstrap intervals with
 one-sided p-values, Benjamini-Hochberg q-values over the primary measure
 tier, and a 24-cell estimator multiverse. Execution is contract-bound,
 hash-verified, and byte-deterministic.
+
+One engine computes every cell: run_measure evaluates a measure's observed
+and leave-one-out terms once, and run_cell draws each specification's
+replicates and builds its interval around them (bootstrap_around). The run
+command passes it the default specification, multiverse the whole grid.
 """
 
 __version__ = "0.1.0"
@@ -14,9 +19,7 @@ from .bootstrap import (
     BcaParams,
     BootstrapResult,
     bca_interval,
-    bootstrap_estimate,
     derive_entropy,
-    jackknife_values,
     one_sided_p,
     resample_statistic,
 )
@@ -38,11 +41,9 @@ from .estimators import (
     CorrMethod,
     IccEstimate,
     IccVariant,
-    NlrValue,
     gaussian_mi,
     icc,
     ksg_mi,
-    nlr,
     nlr_delta_rows,
     pearson,
     spearman,
@@ -87,9 +88,7 @@ __all__ = [
     "BcaParams",
     "BootstrapResult",
     "bca_interval",
-    "bootstrap_estimate",
     "derive_entropy",
-    "jackknife_values",
     "one_sided_p",
     "resample_statistic",
     "BootstrapFailureError",
@@ -107,11 +106,9 @@ __all__ = [
     "CorrMethod",
     "IccEstimate",
     "IccVariant",
-    "NlrValue",
     "gaussian_mi",
     "icc",
     "ksg_mi",
-    "nlr",
     "nlr_delta_rows",
     "pearson",
     "spearman",

@@ -52,7 +52,6 @@ from scipy.special import ndtr, ndtri
 from .errors import BootstrapFailureError
 from .ingest import PairedSample
 
-DEFAULT_B = 5000
 DEFAULT_LEVEL = 0.95
 
 MAX_B = 1 << 32  # a replicate index must be one 32-bit SeedSequence word
@@ -283,7 +282,10 @@ def deletion_blocks(sample: PairedSample):
 
 
 def jackknife_values(sample: PairedSample, statistic: Statistic) -> np.ndarray:
-    """Leave-one-subject-out recomputation; failing deletions are dropped."""
+    """Leave-one-subject-out recomputation of any batch statistic; failing
+    deletions are dropped. The engine takes the NLR deletions from
+    estimators.nlr_deletion_terms instead, which equals this for
+    nlr_delta_rows."""
     values = np.empty(sample.n, dtype=np.float64)
     for start, stop, x1, x2 in deletion_blocks(sample):
         values[start:stop] = statistic(x1, x2)
@@ -355,23 +357,6 @@ def one_sided_p(replicates: np.ndarray) -> float:
     return float((1 + np.count_nonzero(replicates <= 0.0)) / (b + 1))
 
 
-def bootstrap_estimate(
-    sample: PairedSample,
-    statistic: Statistic,
-    b: int = DEFAULT_B,
-    entropy: int = 0,
-    level: float = DEFAULT_LEVEL,
-) -> BootstrapResult:
-    """Point estimate, BCa interval, and one-sided p for one statistic."""
-    point = float(statistic(sample.x1[None], sample.x2[None])[0])
-    if not np.isfinite(point):
-        raise BootstrapFailureError(
-            f"{sample.measure_id}: the statistic is undefined on the observed sample"
-        )
-    jackknife = jackknife_values(sample, statistic)
-    return bootstrap_around(sample, statistic, point, jackknife, b, entropy, level)
-
-
 def bootstrap_around(
     sample: PairedSample,
     statistic: Statistic,
@@ -381,9 +366,9 @@ def bootstrap_around(
     entropy: int,
     level: float = DEFAULT_LEVEL,
 ) -> BootstrapResult:
-    """bootstrap_estimate with the finite point estimate and the kept
-    jackknife values given, for a caller that evaluates them once for
-    several statistics: only the B replicates are drawn here."""
+    """BCa interval and one-sided p for a statistic whose finite point
+    estimate and kept jackknife values the caller has evaluated (once per
+    measure, for several statistics): the B replicates are drawn here."""
     replicates, _ = resample_statistic(sample, statistic, b, entropy)
     interval = bca_interval(replicates, point, jackknife, alpha=1.0 - level)
     return BootstrapResult(

@@ -89,20 +89,22 @@ Implementation notes that matter for reproducibility:
 * Every stage works on rows: the (m, n) arrays hold m samples of n pairs
   (bootstrap replicates, jackknife deletions, or one observed sample), and
   ranks, standardization, correlation, neighbour counts and the digamma
-  mean run along axis 1. The scalar pearson, spearman, ksg_mi and nlr are
+  mean run along axis 1. The scalar pearson, spearman and ksg_mi are
   one-row calls into the same kernels, so a sample gets the same bits
-  alone or in a batch. Each row is also reduced exactly as a 1-d array
+  alone or in a batch: the engine's point estimate ksg_mi(s, k) -
+  clamped_gaussian_mi(correlation(s, method)) is nlr_delta_rows of s as
+  a row of any block. Each row is also reduced exactly as a 1-d array
   would be, so batching leaves every float of a 1-d evaluation intact:
   mean and std(ddof=1) run along the last axis of C-contiguous arrays, and
   np.vecdot runs the same BLAS dot as 1-d np.dot (an elementwise product
   summed along axis 1, or einsum, rounds differently). The Gaussian
   baseline stays the scalar math.log1p, one list comprehension over the
   clamped rows (a vectorized np.log1p differs in the last bit).
-* nlr_deletion_terms evaluates both terms of nlr() on the n leave-one-out
-  samples for several k and correlation methods in one pass, each block of
-  deletion rows built and standardized once for all of them, so a caller
-  that shares them across specifications (the multiverse engine) gets the
-  bits each specification would get alone.
+* nlr_deletion_terms evaluates both terms of that point on the n
+  leave-one-out samples for several k and correlation methods in one
+  pass, each block of deletion rows built and standardized once for all
+  of them, so a caller that shares them across specifications (the
+  multiverse engine) gets the bits each specification would get alone.
 * The neighbour-count kernels take their distance matrices in blocks of
   about _BLOCK_ELEMENTS elements, whatever n and the number of samples:
   many whole samples per block when n is small, a few query rows of one
@@ -174,20 +176,6 @@ class CorrMethod(str, Enum):
 class IccVariant(str, Enum):
     TWO_WAY_RANDOM = "icc_2_1"
     TWO_WAY_FIXED = "icc_3_1"
-
-
-@dataclass(frozen=True)
-class NlrValue:
-    """nlr() result: the difference is the inferential quantity, the ratio
-    is descriptive only (undefined when the Gaussian baseline is ~0)."""
-
-    delta: float
-    ratio: float | None
-    rho: float
-    mi_ksg: float
-    mi_gauss: float
-    k: int
-    corr_method: CorrMethod
 
 
 @dataclass(frozen=True)
@@ -296,7 +284,7 @@ def gaussian_mi(rho: float) -> float:
     """MI of a bivariate Gaussian with correlation rho, in nats.
 
     Strict contract: requires |rho| < 1. Callers that may sit on the
-    boundary clamp first (see nlr()).
+    boundary clamp first (clamped_gaussian_mi).
     """
     rho = float(rho)
     if not math.isfinite(rho) or abs(rho) >= 1.0:
@@ -305,7 +293,7 @@ def gaussian_mi(rho: float) -> float:
 
 
 def clamped_gaussian_mi(rho: float) -> float:
-    """The Gaussian baseline of nlr(): gaussian_mi of rho clamped to
+    """The Gaussian baseline of nlr_delta: gaussian_mi of rho clamped to
     +-RHO_CLAMP, so that a perfectly collinear sample gets a large finite
     baseline instead of a domain error."""
     return gaussian_mi(max(-RHO_CLAMP, min(RHO_CLAMP, rho)))
@@ -691,13 +679,13 @@ def _certify(
 
 
 def nlr_deletion_terms(x1: np.ndarray, x2: np.ndarray, ks, corr_methods) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms of nlr() on each of the n leave-one-out samples of the
-    1-d sample (x1, x2): the KSG estimate at each k in ks, a (len(ks), n)
-    array, and the Gaussian baseline under each method, a
-    (len(corr_methods), n) array. Column j, the sample without pair j, is
-    bitwise what nlr() gives on that sample, and NaN where nlr() raises:
-    fewer than k + 1 pairs for a KSG term, fewer than 2 pairs or zero
-    variance in a session for a baseline.
+    """The two terms of the point estimate on each of the n leave-one-out
+    samples of the 1-d sample (x1, x2): the KSG estimate at each k in ks, a
+    (len(ks), n) array, and the Gaussian baseline under each method, a
+    (len(corr_methods), n) array. Column j, the sample s without pair j, is
+    bitwise ksg_mi(s, k) and clamped_gaussian_mi(correlation(s, method)),
+    and NaN where those raise: fewer than k + 1 pairs for a KSG term,
+    fewer than 2 pairs or zero variance in a session for a baseline.
 
     Each block of deletion rows is built and standardized once for every k
     and method. A k whose deletion rows are no wider than a window is
@@ -802,45 +790,18 @@ def ksg_mi(sample: PairedSample, k: int = DEFAULT_K) -> float:
     return float(_ksg_rows(x1[None], x2[None], (k,))[0][0])
 
 
-def nlr(
-    sample: PairedSample,
-    k: int = DEFAULT_K,
-    corr_method: CorrMethod = CorrMethod.PEARSON,
-) -> NlrValue:
-    """Nonlinear reliability: KSG MI minus the Gaussian baseline.
-
-    The sample correlation is reported as computed; only the baseline sees
-    the clamp to +-(1 - 1e-12), so a perfectly collinear sample yields a
-    large finite baseline instead of a domain error.
-    """
-    k = _check_k(k)
-    corr_method = CorrMethod(corr_method)
-    rho = correlation(sample, corr_method)
-    mi_gauss = clamped_gaussian_mi(rho)
-    mi_ksg = ksg_mi(sample, k=k)
-    ratio = mi_ksg / mi_gauss if mi_gauss > 0.0 else None
-    return NlrValue(
-        delta=mi_ksg - mi_gauss,
-        ratio=ratio,
-        rho=rho,
-        mi_ksg=mi_ksg,
-        mi_gauss=mi_gauss,
-        k=k,
-        corr_method=corr_method,
-    )
-
-
 def nlr_delta_rows(
     x1: np.ndarray,
     x2: np.ndarray,
     k: int = DEFAULT_K,
     corr_method: CorrMethod = CorrMethod.PEARSON,
 ) -> np.ndarray:
-    """Batch form of nlr(...).delta, the bootstrap's statistic.
+    """NLR_delta of each row, the bootstrap's statistic.
 
     x1 and x2 are (m, n) arrays holding m samples of n pairs, one per row.
-    Returns the m deltas, bitwise those of nlr() on each row alone, with
-    NaN for every row on which nlr() raises: a non-finite score, fewer
+    Returns the m deltas, bitwise ksg_mi(s, k) -
+    clamped_gaussian_mi(correlation(s, corr_method)) of each row s alone,
+    with NaN for every row on which those raise: a non-finite score, fewer
     than k + 1 pairs, or zero variance in a session.
     """
     k = _check_k(k)

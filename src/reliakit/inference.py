@@ -76,7 +76,9 @@ def bh_adjust(p_values) -> np.ndarray:
     return q
 
 
-def _median_iqr(values: list[float]) -> tuple[float | None, list[float] | None]:
+def median_iqr(values: list[float]) -> tuple[float | None, list[float] | None]:
+    """Median and linear-interpolation [Q1, Q3] of the values as float64,
+    (None, None) for none: the summaries' one convention."""
     if not values:
         return None, None
     arr = np.asarray(values, dtype=np.float64)
@@ -117,9 +119,9 @@ def apply_primary_inference(
     deltas = [e.nlr_delta for e in ok]
     widths = [e.ci_high - e.ci_low for e in ok]
     iccs = [e.icc_2_1 for e in ok if e.icc_2_1 is not None]
-    delta_median, delta_iqr = _median_iqr(deltas)
-    width_median, _ = _median_iqr(widths)
-    icc_median, icc_iqr = _median_iqr(iccs)
+    delta_median, delta_iqr = median_iqr(deltas)
+    width_median, _ = median_iqr(widths)
+    icc_median, icc_iqr = median_iqr(iccs)
     summary = {
         "q_star": q_star,
         "n_primary": len(annotated),

@@ -42,6 +42,7 @@ from .inference import (
     STATUS_OK,
     ReliabilityEstimate,
     headline_pass,
+    median_iqr,
 )
 from .ingest import PairedSample
 
@@ -77,6 +78,9 @@ class Specification:
         # the int they equal, so spec_id and the keys stay those of an int
         for name in ("k", "n_min"):
             object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
+        # "pearson" is stored as CorrMethod.PEARSON, whose value spec_id
+        # reads; an unknown method raises ValueError
+        object.__setattr__(self, "corr_method", CorrMethod(self.corr_method))
 
     @property
     def spec_id(self) -> str:
@@ -89,7 +93,6 @@ DEFAULT_SPEC = Specification(k=4, corr_method=CorrMethod.PEARSON, n_min=10)
 @dataclass(frozen=True)
 class MultiverseCell:
     spec: Specification
-    measure_id: str
     estimate: ReliabilityEstimate
 
 
@@ -117,7 +120,7 @@ class MeasureTerms:
     needs it degenerate. The leave-one-out terms come from one
     nlr_deletion_terms call for the k and methods of the cells that are
     still estimable, and from none when no cell is; each of their rows is
-    NaN where nlr() would raise on that deletion.
+    NaN where that deletion admits no term.
     """
 
     def __init__(self, sample: PairedSample, specs: list[Specification]) -> None:
@@ -157,7 +160,7 @@ def _cell(spec: Specification, sample: PairedSample, status: str, **fields) -> M
     estimate = ReliabilityEstimate(
         measure_id=sample.measure_id, spec_id=spec.spec_id, n=sample.n, status=status, **fields
     )
-    return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
+    return MultiverseCell(spec=spec, estimate=estimate)
 
 
 def run_cell(
@@ -165,20 +168,19 @@ def run_cell(
     sample: PairedSample,
     base_seed: int,
     b: int,
-    terms: MeasureTerms | None = None,
+    terms: MeasureTerms | None,
 ) -> MultiverseCell:
     """Estimate one measure under one specification: the per-cell step of
-    run_measure, which passes the measure's shared terms. Called alone, it
-    evaluates those terms for this specification only, and equals
-    run_measure([spec], ...)[0].
+    run_measure. terms holds the measure's shared terms, which run_measure
+    evaluates for the specifications whose n_min the sample meets (None
+    when it meets none); the cell draws its replicates and builds its
+    interval around them.
 
     Estimator failures demote the cell to degenerate status; they never
     abort the grid.
     """
     if sample.n < spec.n_min:
         return _cell(spec, sample, STATUS_INSUFFICIENT_N)
-    if terms is None:
-        terms = MeasureTerms(sample, [spec])
     if not terms.estimable(spec):
         return _cell(spec, sample, STATUS_DEGENERATE)
     k, method = spec.k, spec.corr_method
@@ -220,9 +222,8 @@ def _axis_summary(cells: list[MultiverseCell], key) -> dict:
     for level in levels:
         members = [c for c in cells if key(c) == level]
         ok = [c.estimate for c in members if c.estimate.status == STATUS_OK]
-        deltas = np.asarray([e.nlr_delta for e in ok], dtype=np.float64)
         by_level[str(level)] = {
-            "median_nlr_delta": float(np.median(deltas)) if deltas.size else None,
+            "median_nlr_delta": median_iqr([e.nlr_delta for e in ok])[0],
             "pass_count": sum(e.headline_pass for e in ok),
             "estimable": len(ok),
         }
@@ -232,14 +233,7 @@ def _axis_summary(cells: list[MultiverseCell], key) -> dict:
 def summarize(cells: list[MultiverseCell]) -> dict:
     """Marginal table: one row per axis level, plus the grand summary."""
     ok = [c.estimate for c in cells if c.estimate.status == STATUS_OK]
-    deltas = np.asarray([e.nlr_delta for e in ok], dtype=np.float64)
-    if deltas.size:
-        grand_median = float(np.median(deltas))
-        lo, hi = np.quantile(deltas, [0.25, 0.75], method="linear")
-        grand_iqr = [float(lo), float(hi)]
-    else:
-        grand_median = None
-        grand_iqr = None
+    grand_median, grand_iqr = median_iqr([e.nlr_delta for e in ok])
     return {
         "grand": {
             "total_cells": len(cells),

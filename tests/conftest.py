@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from reliakit import PairedSample, pipeline
+from reliakit import CorrMethod, PairedSample, ksg_mi, pipeline
+from reliakit.estimators import clamped_gaussian_mi, correlation
 
 
 def make_sample(x1, x2, measure_id="m"):
@@ -17,6 +18,12 @@ def gauss_pairs(rng, n, rho, measure_id="m"):
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
     return make_sample(z1, rho * z1 + np.sqrt(1.0 - rho * rho) * z2, measure_id)
+
+
+def nlr_delta(sample, k=4, method=CorrMethod.PEARSON):
+    """The engine's point estimate of one sample: KSG MI minus the clamped
+    Gaussian baseline; raises where either term is undefined."""
+    return ksg_mi(sample, k) - clamped_gaussian_mi(correlation(sample, method))
 
 
 @pytest.fixture

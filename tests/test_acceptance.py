@@ -9,12 +9,12 @@ redistribute and reports SKIP with the reason.
 import csv
 import math
 import shutil
-from functools import partial
 
 import numpy as np
 import pytest
 
 from reliakit import (
+    DEFAULT_SPEC,
     EstimatorError,
     RunConfig,
     build_grid,
@@ -23,13 +23,12 @@ from reliakit import (
     gaussian_mi,
     icc,
     ksg_mi,
-    nlr,
     nlr_delta_rows,
     bh_adjust,
+    run_measure,
 )
-from reliakit.bootstrap import bca_interval, bootstrap_estimate, derive_entropy
+from reliakit.bootstrap import bca_interval
 from reliakit.hashutil import sha256_file
-from reliakit.inference import headline_pass
 from reliakit.outputs import (
     INGEST_EVIDENCE_JSON,
     MULTIVERSE_CSV,
@@ -111,7 +110,8 @@ def test_acceptance_04_small_n_bias_direction():
     deltas = []
     for _ in range(200):
         rho = float(rng.uniform(0.3, 0.8))
-        deltas.append(nlr(gauss_pairs(rng, 53, rho=rho), k=4).delta)
+        s = gauss_pairs(rng, 53, rho=rho)
+        deltas.append(nlr_delta_rows(s.x1[None], s.x2[None], k=4)[0])
     med = float(np.median(deltas))
     ok = -0.30 <= med <= 0.00
     report(4, f"finite-sample bias direction (median nlr_delta {med:.4f} at n=53)", ok)
@@ -123,10 +123,8 @@ def test_acceptance_05_null_calibration():
     for i in range(measures):
         rng = np.random.default_rng(600_000 + i)
         sample = gauss_pairs(rng, 53, rho=0.0, measure_id=f"null{i:03d}")
-        entropy = derive_entropy(20260819, sample.measure_id, "k4_pearson_nmin10")
-        statistic = partial(nlr_delta_rows, k=4)
-        result = bootstrap_estimate(sample, statistic, b=1000, entropy=entropy)
-        passes += headline_pass(result.ci_low)
+        [cell] = run_measure([DEFAULT_SPEC], sample, 20260819, 1000)
+        passes += cell.estimate.headline_pass
     fraction = passes / measures
     report(
         5,

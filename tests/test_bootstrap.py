@@ -12,7 +12,6 @@ from reliakit import (
     DegenerateSampleError,
     EstimatorError,
     PairedSample,
-    nlr,
     nlr_delta_rows,
     pearson,
 )
@@ -21,7 +20,7 @@ from reliakit.bootstrap import (
     _BLOCK_ELEMENTS,
     MAX_B,
     bca_interval,
-    bootstrap_estimate,
+    bootstrap_around,
     derive_entropy,
     jackknife_values,
     one_sided_p,
@@ -33,7 +32,7 @@ from reliakit.digamma import digamma_table
 from reliakit.estimators import RHO_CLAMP
 from reliakit.multiverse import CORR_GRID, K_GRID
 
-from conftest import gauss_pairs, make_sample
+from conftest import gauss_pairs, make_sample, nlr_delta
 
 
 def mean_x1(x1, x2):
@@ -58,7 +57,7 @@ def rows_of(scalar):
 def nlr_delta_1d(sample, k, method="pearson"):
     """Reference nlr delta of one sample in 1-d numpy arithmetic: np.dot
     for the correlation, whole-array mean and std, one unblocked distance
-    matrix. Raises DegenerateSampleError where nlr() does."""
+    matrix. Raises DegenerateSampleError where conftest.nlr_delta does."""
     x1, x2 = sample.x1, sample.x2
     n = x1.size
     if n < k + 1:
@@ -365,11 +364,18 @@ def test_one_sided_p_counting():
         one_sided_p(np.array([]))
 
 
-def test_bootstrap_estimate_fields():
+def bootstrap_at_point(sample, statistic, b, entropy):
+    """bootstrap_around the statistic's observed value and its kept
+    jackknife values."""
+    point = float(statistic(sample.x1[None], sample.x2[None])[0])
+    return bootstrap_around(sample, statistic, point, jackknife_values(sample, statistic), b, entropy)
+
+
+def test_bootstrap_around_fields():
     rng = np.random.default_rng(21)
     s = gauss_pairs(rng, 30, rho=0.6)
     e = derive_entropy(42, "m", "s")
-    result = bootstrap_estimate(s, rows_of(pearson), b=400, entropy=e)
+    result = bootstrap_at_point(s, rows_of(pearson), b=400, entropy=e)
     assert result.point == pearson(s)
     assert result.b_requested == 400
     assert 0 < result.b_effective <= 400
@@ -377,11 +383,11 @@ def test_bootstrap_estimate_fields():
     assert 0.0 < result.p_one_sided <= 1.0
     assert result.level == 0.95
     assert result.method in ("bca", "percentile_fallback")
-    again = bootstrap_estimate(s, rows_of(pearson), b=400, entropy=e)
+    again = bootstrap_at_point(s, rows_of(pearson), b=400, entropy=e)
     assert result == again
 
 
-def test_bootstrap_estimate_interval_covers_truth_mostly():
+def test_bootstrap_around_interval_covers_truth_mostly():
     # 95% BCa interval for a normal mean at n = 60: nominal coverage is
     # 0.95 with the usual finite-n, finite-B shortfall. The seeds are fixed
     # so this is a deterministic regression (realization 0.927); the band
@@ -393,7 +399,7 @@ def test_bootstrap_estimate_interval_covers_truth_mostly():
         rng = np.random.default_rng(50_000 + t)
         x = rng.normal(loc=0.3, scale=1.0, size=60)
         s = make_sample(x, np.zeros_like(x))
-        result = bootstrap_estimate(s, mean_x1, b=500, entropy=t)
+        result = bootstrap_at_point(s, mean_x1, b=500, entropy=t)
         if result.ci_low <= 0.3 <= result.ci_high:
             hits += 1
     coverage = hits / trials
@@ -423,10 +429,10 @@ def test_blocked_values_equal_per_sample_loop(data, k, method, tied):
     batch = partial(nlr_delta_rows, k=k, corr_method=method)
     scalar = partial(nlr_delta_1d, k=k, method=method.value)
     try:
-        assert nlr(s, k=k, corr_method=method).delta == scalar(s)
+        assert nlr_delta(s, k, method) == scalar(s)
     except DegenerateSampleError:
         with pytest.raises(DegenerateSampleError):
-            nlr(s, k=k, corr_method=method)
+            nlr_delta(s, k, method)
     want, want_dropped = loop_resample(s, scalar, b, entropy)
     if want.size:
         got, dropped = resample_statistic(s, batch, b, entropy)
@@ -445,12 +451,6 @@ def test_every_deletion_degenerate_at_n_k_plus_1(k):
     statistic = partial(nlr_delta_rows, k=k)
     assert jackknife_values(s, statistic).size == 0
     assert loop_jackknife(s, partial(nlr_delta_1d, k=k)).size == 0
-    result = bootstrap_estimate(s, statistic, b=100, entropy=k)
+    result = bootstrap_at_point(s, statistic, b=100, entropy=k)
     assert result.method == "percentile_fallback"
-    assert result.point == nlr(s, k=k).delta
-
-
-def test_bootstrap_estimate_rejects_undefined_point():
-    s = make_sample([3.0, 3.0, 3.0, 3.0], [1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(BootstrapFailureError):
-        bootstrap_estimate(s, rows_of(pearson), b=20, entropy=0)
+    assert result.point == nlr_delta(s, k)

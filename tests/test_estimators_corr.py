@@ -10,9 +10,10 @@ from reliakit import (
     CorrMethod,
     DegenerateSampleError,
     EstimatorError,
+    Specification,
     gaussian_mi,
-    nlr,
     pearson,
+    run_measure,
     spearman,
 )
 from reliakit.estimators import (
@@ -23,7 +24,7 @@ from reliakit.estimators import (
     correlation,
 )
 
-from conftest import gauss_pairs, make_sample
+from conftest import gauss_pairs, make_sample, nlr_delta
 
 
 def test_pearson_perfect_positive():
@@ -176,40 +177,30 @@ def test_gaussian_mi_domain(bad):
 def test_nlr_internal_consistency():
     rng = np.random.default_rng(5)
     s = gauss_pairs(rng, 60, rho=0.7)
-    value = nlr(s, k=4)
-    assert value.delta == value.mi_ksg - value.mi_gauss
+    [cell] = run_measure([Specification(4, CorrMethod.PEARSON, 10)], s, 1, 20)
+    value = cell.estimate
+    assert value.nlr_delta == value.mi_ksg - value.mi_gauss == nlr_delta(s, 4)
     assert value.rho == pearson(s)
     assert value.mi_gauss == gaussian_mi(value.rho)
-    assert value.ratio == value.mi_ksg / value.mi_gauss
-    assert value.k == 4
-    assert value.corr_method is CorrMethod.PEARSON
-
-
-def test_nlr_ratio_absent_when_baseline_zero():
-    # orthogonal by construction: sample correlation is exactly 0
-    s = make_sample([-1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0])
-    value = nlr(s, k=2)
-    assert value.rho == 0.0
-    assert value.mi_gauss == 0.0
-    assert value.ratio is None
-    assert math.isfinite(value.delta)
 
 
 def test_nlr_collinear_sample_is_finite():
     # rho -> 1 hits the clamp; baseline must stay finite, no exception
     x = np.array([1.0, 2.0, 3.0, 5.0, 8.0, 13.0])
-    value = nlr(make_sample(x, x))
-    assert math.isfinite(value.mi_gauss)
-    assert value.mi_gauss > 10.0
-    assert math.isfinite(value.delta)
+    s = make_sample(x, x)
+    mi_gauss = clamped_gaussian_mi(pearson(s))
+    assert math.isfinite(mi_gauss)
+    assert mi_gauss > 10.0
+    assert math.isfinite(nlr_delta(s))
 
 
 def test_nlr_spearman_route():
     rng = np.random.default_rng(17)
     s = gauss_pairs(rng, 50, rho=0.6)
-    value = nlr(s, corr_method="spearman")
-    assert value.rho == spearman(s)
-    assert value.corr_method is CorrMethod.SPEARMAN
+    [cell] = run_measure([Specification(4, "spearman", 10)], s, 1, 20)
+    assert cell.estimate.rho == spearman(s)
+    assert cell.estimate.mi_gauss == clamped_gaussian_mi(spearman(s))
+    assert cell.spec.corr_method is CorrMethod.SPEARMAN
 
 
 def _assert_baseline_rows_equal_scalar(rho):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma as scipy_digamma
 
-from reliakit import DegenerateSampleError, EstimatorError, ksg_mi, nlr
+from reliakit import DegenerateSampleError, EstimatorError, ksg_mi, nlr_delta_rows
 from reliakit import estimators
 from reliakit.bootstrap import deletion_blocks, replicate_indices
 from reliakit.estimators import (
@@ -522,14 +522,15 @@ def test_rejects_bad_k(bad_k):
     with pytest.raises(EstimatorError):
         ksg_mi(s, k=bad_k)
     with pytest.raises(EstimatorError):
-        nlr(s, k=bad_k)
+        nlr_delta_rows(s.x1[None], s.x2[None], k=bad_k)
 
 
 def test_accepts_numpy_integer_k():
     s = gauss_pairs(np.random.default_rng(3), 20, rho=0.2)
     assert ksg_mi(s, k=np.int64(4)) == ksg_mi(s, k=4)
-    value = nlr(s, k=np.int32(4))
-    assert value == nlr(s, k=4) and type(value.k) is int
+    assert ksg_mi(s, k=np.int32(4)) == ksg_mi(s, k=4)
+    rows = nlr_delta_rows(s.x1[None], s.x2[None], k=np.int32(4))
+    assert np.array_equal(rows, nlr_delta_rows(s.x1[None], s.x2[None], k=4))
 
 
 def test_needs_more_points_than_k():

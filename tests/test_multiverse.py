@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reliakit import DEFAULT_SPEC, Specification, build_grid, run_cell, summarize
+from reliakit import DEFAULT_SPEC, Specification, build_grid, summarize
 from reliakit.bootstrap import (
     bca_interval,
     derive_entropy,
@@ -19,8 +19,10 @@ from reliakit import estimators
 from reliakit.estimators import (
     CorrMethod,
     IccVariant,
+    clamped_gaussian_mi,
+    correlation,
     icc,
-    nlr,
+    ksg_mi,
     nlr_delta_rows,
 )
 from reliakit.inference import (
@@ -61,11 +63,21 @@ def test_specification_rejects_bad_n_min(bad_n_min):
         Specification(4, CorrMethod.PEARSON, bad_n_min)
 
 
+@pytest.mark.parametrize("bad_method", ["kendall", "Pearson", "", 1, None])
+def test_specification_rejects_bad_corr_method(bad_method):
+    with pytest.raises(ValueError):
+        Specification(4, bad_method, 10)
+
+
 def test_specification_stores_numpy_integers_as_int():
     spec = Specification(np.int64(4), CorrMethod.PEARSON, np.int32(10))
     assert type(spec.k) is int and type(spec.n_min) is int
     assert spec == DEFAULT_SPEC and hash(spec) == hash(DEFAULT_SPEC)
     assert spec.spec_id == "k4_pearson_nmin10"
+    spec = Specification(np.int64(4), "spearman", 10)
+    assert spec.corr_method is CorrMethod.SPEARMAN
+    assert spec == Specification(4, CorrMethod.SPEARMAN, 10)
+    assert spec.spec_id == "k4_spearman_nmin10"
     assert [s.spec_id for s in build_grid()] == [
         f"k{k}_{corr.value}_nmin{n_min}" for k in K_GRID for corr in CORR_GRID for n_min in (10, 15, 20)
     ]
@@ -74,9 +86,9 @@ def test_specification_stores_numpy_integers_as_int():
 def test_run_cell_ok_status_fields():
     rng = np.random.default_rng(42)
     sample = gauss_pairs(rng, 25, rho=0.6, measure_id="meas")
-    cell = run_cell(DEFAULT_SPEC, sample, base_seed=42, b=100)
+    cell = run_measure([DEFAULT_SPEC], sample, base_seed=42, b=100)[0]
     est = cell.estimate
-    assert cell.measure_id == "meas"
+    assert est.measure_id == "meas"
     assert est.spec_id == "k4_pearson_nmin10"
     assert est.status == STATUS_OK
     assert est.n == 25
@@ -90,9 +102,9 @@ def test_run_cell_ok_status_fields():
 def test_run_cell_insufficient_at_threshold():
     rng = np.random.default_rng(8)
     sample = gauss_pairs(rng, 12, rho=0.5)
-    ok_cell = run_cell(Specification(3, CorrMethod.PEARSON, 10), sample, 1, 50)
+    ok_cell = run_measure([Specification(3, CorrMethod.PEARSON, 10)], sample, 1, 50)[0]
     assert ok_cell.estimate.status == STATUS_OK
-    short_cell = run_cell(Specification(3, CorrMethod.PEARSON, 15), sample, 1, 50)
+    short_cell = run_measure([Specification(3, CorrMethod.PEARSON, 15)], sample, 1, 50)[0]
     est = short_cell.estimate
     assert est.status == STATUS_INSUFFICIENT_N
     assert est.n == 12
@@ -105,13 +117,13 @@ def test_run_cell_insufficient_at_threshold():
 def test_run_cell_exact_n_min_is_estimable():
     rng = np.random.default_rng(9)
     sample = gauss_pairs(rng, 15, rho=0.5)
-    cell = run_cell(Specification(3, CorrMethod.PEARSON, 15), sample, 1, 50)
+    cell = run_measure([Specification(3, CorrMethod.PEARSON, 15)], sample, 1, 50)[0]
     assert cell.estimate.status == STATUS_OK
 
 
 def test_run_cell_degenerate_never_raises():
     sample = make_sample([2.0] * 12, [3.0] * 12)
-    cell = run_cell(DEFAULT_SPEC, sample, base_seed=7, b=50)
+    cell = run_measure([DEFAULT_SPEC], sample, base_seed=7, b=50)[0]
     est = cell.estimate
     assert est.status == STATUS_DEGENERATE
     assert est.nlr_delta is None
@@ -121,20 +133,20 @@ def test_run_cell_degenerate_never_raises():
 def test_run_cell_deterministic():
     rng = np.random.default_rng(5)
     sample = gauss_pairs(rng, 20, rho=0.4)
-    a = run_cell(DEFAULT_SPEC, sample, base_seed=11, b=80)
-    b = run_cell(DEFAULT_SPEC, sample, base_seed=11, b=80)
+    a = run_measure([DEFAULT_SPEC], sample, base_seed=11, b=80)[0]
+    b = run_measure([DEFAULT_SPEC], sample, base_seed=11, b=80)[0]
     assert a == b
-    c = run_cell(DEFAULT_SPEC, sample, base_seed=12, b=80)
+    c = run_measure([DEFAULT_SPEC], sample, base_seed=12, b=80)[0]
     assert c.estimate.ci_low != a.estimate.ci_low
 
 
 def test_cells_differ_across_specs():
     rng = np.random.default_rng(6)
     sample = gauss_pairs(rng, 30, rho=0.5)
-    k4 = run_cell(Specification(4, CorrMethod.PEARSON, 10), sample, 1, 60)
-    k5 = run_cell(Specification(5, CorrMethod.PEARSON, 10), sample, 1, 60)
+    k4 = run_measure([Specification(4, CorrMethod.PEARSON, 10)], sample, 1, 60)[0]
+    k5 = run_measure([Specification(5, CorrMethod.PEARSON, 10)], sample, 1, 60)[0]
     assert k4.estimate.mi_ksg != k5.estimate.mi_ksg
-    sp = run_cell(Specification(4, CorrMethod.SPEARMAN, 10), sample, 1, 60)
+    sp = run_measure([Specification(4, CorrMethod.SPEARMAN, 10)], sample, 1, 60)[0]
     assert sp.estimate.rho != k4.estimate.rho
     assert sp.estimate.mi_ksg == k4.estimate.mi_ksg  # MI ignores corr method
 
@@ -150,7 +162,7 @@ def run_toy_grid(b=40):
     cells = []
     for spec in build_grid():
         for sample in samples:
-            cells.append(run_cell(spec, sample, base_seed=3, b=b))
+            cells.append(run_measure([spec], sample, base_seed=3, b=b)[0])
     return cells
 
 
@@ -231,7 +243,7 @@ def test_summarize_empty_and_all_insufficient():
     assert summarize([])["grand"]["median_nlr_delta"] is None
     rng = np.random.default_rng(1)
     tiny = gauss_pairs(rng, 5, rho=0.2)
-    cells = [run_cell(spec, tiny, 1, 10) for spec in build_grid()]
+    cells = run_measure(build_grid(), tiny, 1, 10)
     summary = summarize(cells)
     assert summary["grand"]["estimable"] == 0
     assert summary["grand"]["insufficient_n"] == 24
@@ -239,7 +251,7 @@ def test_summarize_empty_and_all_insufficient():
 
 
 def oracle_bootstrap(sample, statistic, b, entropy, level=0.95):
-    """bootstrap_estimate as a self-contained sequence: point, replicates,
+    """The bootstrap as a self-contained sequence: point, replicates,
     jackknife, BCa interval at alpha = 1 - level, p."""
     point = float(statistic(sample.x1[None], sample.x2[None])[0])
     if not np.isfinite(point):
@@ -251,15 +263,18 @@ def oracle_bootstrap(sample, statistic, b, entropy, level=0.95):
 
 
 def oracle_cell(spec, sample, base_seed, b):
-    """The per-cell path the engine replaced: nlr, then the bootstrap, then
-    both ICCs, every term evaluated for this cell alone."""
+    """The per-cell path the engine replaced: correlation, baseline and KSG
+    term, then the bootstrap, then both ICCs, every term evaluated for this
+    cell alone."""
     spec_id = spec.spec_id
     n = sample.n
     if n < spec.n_min:
         estimate = ReliabilityEstimate(sample.measure_id, spec_id, n, STATUS_INSUFFICIENT_N)
-        return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
+        return MultiverseCell(spec=spec, estimate=estimate)
     try:
-        value = nlr(sample, k=spec.k, corr_method=spec.corr_method)
+        rho = correlation(sample, spec.corr_method)
+        mi_gauss = clamped_gaussian_mi(rho)
+        mi_ksg = ksg_mi(sample, k=spec.k)
         statistic = partial(nlr_delta_rows, k=spec.k, corr_method=spec.corr_method)
         entropy = derive_entropy(base_seed, sample.measure_id, spec_id)
         point, interval, p = oracle_bootstrap(sample, statistic, b, entropy)
@@ -267,15 +282,15 @@ def oracle_cell(spec, sample, base_seed, b):
         icc3 = icc(sample, IccVariant.TWO_WAY_FIXED)
     except (EstimatorError, BootstrapFailureError):
         estimate = ReliabilityEstimate(sample.measure_id, spec_id, n, STATUS_DEGENERATE)
-        return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
+        return MultiverseCell(spec=spec, estimate=estimate)
     estimate = ReliabilityEstimate(
         measure_id=sample.measure_id,
         spec_id=spec_id,
         n=n,
         status=STATUS_OK,
-        rho=value.rho,
-        mi_ksg=value.mi_ksg,
-        mi_gauss=value.mi_gauss,
+        rho=rho,
+        mi_ksg=mi_ksg,
+        mi_gauss=mi_gauss,
         nlr_delta=point,
         ci_low=interval.ci_low,
         ci_high=interval.ci_high,
@@ -288,7 +303,7 @@ def oracle_cell(spec, sample, base_seed, b):
         icc_3_1=icc3.value,
         headline_pass=headline_pass(interval.ci_low),
     )
-    return MultiverseCell(spec=spec, measure_id=sample.measure_id, estimate=estimate)
+    return MultiverseCell(spec=spec, estimate=estimate)
 
 
 # the grid's (k, method) pairs again at n_min = 2, so that n = k + 1 and
@@ -297,7 +312,7 @@ LOW_N_MIN_SPECS = [Specification(k, corr, 2) for k in K_GRID for corr in CORR_GR
 
 
 def assert_cells_equal(got, want):
-    assert got.spec == want.spec and got.measure_id == want.measure_id
+    assert got.spec == want.spec
     for field in fields(ReliabilityEstimate):
         g = getattr(got.estimate, field.name)
         w = getattr(want.estimate, field.name)
@@ -310,7 +325,7 @@ def assert_engine_equals_oracle(specs, sample, base_seed, b):
     assert len(cells) == len(specs)
     for spec, cell in zip(specs, cells):
         assert_cells_equal(cell, oracle_cell(spec, sample, base_seed, b))
-        assert_cells_equal(run_cell(spec, sample, base_seed, b), cell)
+        assert_cells_equal(run_measure([spec], sample, base_seed, b)[0], cell)
     return cells
 
 

@@ -10,8 +10,23 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# the package no longer has a kdtree count path; the tracer still names it
-GONE = {"estimators._ksg_counts_kdtree"}
+# functions the package no longer has that the tracer still names; no
+# per-layer metric reads them
+GONE = {
+    "estimators._ksg_counts_kdtree",
+    "bootstrap.bootstrap_estimate",
+    "estimators.nlr",
+}
+
+
+def _metric_targets(tracer) -> set[str]:
+    """Every target some per-layer metric needs."""
+    names = (
+        tracer.READ, tracer.BUILD, tracer.KSG, tracer.CORR, tracer.ICC, tracer.RESAMPLE,
+        tracer.JACKKNIFE, tracer.RNG, tracer.CELL, tracer.SUMMARIZE, tracer.APPLY,
+        tracer.WRITE, tracer.BUILD_PROVENANCE, tracer.GATE, tracer.SHA, tracer.COMMANDS,
+    )
+    return {target for name in names for target in ((name,) if isinstance(name, str) else name)}
 
 
 def test_every_traced_function_exists(monkeypatch):
@@ -22,5 +37,6 @@ def test_every_traced_function_exists(monkeypatch):
     traced.install()
     try:
         assert set(traced.absent) <= GONE
+        assert not set(traced.absent) & _metric_targets(tracer)
     finally:
         traced.uninstall()
