@@ -9,15 +9,14 @@ hash-verified, and byte-deterministic.
 
 One engine computes every cell: run_measure evaluates a measure's observed
 and leave-one-out terms once, and run_cell draws each specification's
-replicates and builds its interval around them (bootstrap_around). The run
-command passes it the default specification, multiverse the whole grid.
+replicates (resample_statistic) and builds its interval (bca_interval) and
+p-value (one_sided_p) around them. The run command passes it the default
+specification, multiverse the whole grid.
 """
 
 __version__ = "0.1.0"
 
 from .bootstrap import (
-    BcaParams,
-    BootstrapResult,
     bca_interval,
     derive_entropy,
     one_sided_p,
@@ -85,8 +84,6 @@ from .registry import (
 
 __all__ = [
     "__version__",
-    "BcaParams",
-    "BootstrapResult",
     "bca_interval",
     "derive_entropy",
     "one_sided_p",

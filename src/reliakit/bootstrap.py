@@ -3,9 +3,8 @@
 Resampling draws whole subject pairs with replacement (both sessions travel
 together). Intervals follow Efron's bias-corrected-and-accelerated
 construction (Efron 1987, JASA 82:171); when the correction is undefined
-(all replicates on one side of the point estimate, or zero jackknife
-dispersion) the interval falls back to the plain percentile endpoints and
-records that it did.
+(see BcaInterval for every case) the interval falls back to the plain
+percentile endpoints and records that it did.
 
 Reproducibility contract: replicate r draws its n indices as
 Generator(PCG64(SeedSequence((entropy, r)))).integers(0, n, size=n), where
@@ -72,33 +71,25 @@ Statistic = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
-class BcaParams:
-    """Bias correction z0 and acceleration a, recorded even on fallback
-    (z0 may be +-inf there; it is finite whenever method == "bca")."""
-
-    z0: float
-    a: float
-
-
-@dataclass(frozen=True)
 class BcaInterval:
+    """Interval endpoints with the bias correction z0 and acceleration a
+    behind them, recorded even on fallback. method is "bca", or
+    "percentile_fallback" where the BCa correction is undefined and the
+    plain percentile endpoints are reported:
+
+    - every replicate lies on one side of the point estimate (z0 is then
+      +-inf; it is finite whenever method == "bca");
+    - fewer than two kept jackknife values, or zero jackknife dispersion
+      (a is then 0.0);
+    - the denominator 1 - a * (z0 + z) of an adjusted quantile is <= 0, or
+      the adjusted quantiles are not increasing.
+    """
+
     ci_low: float
     ci_high: float
     method: str  # "bca" or "percentile_fallback"
-    params: BcaParams
-
-
-@dataclass(frozen=True)
-class BootstrapResult:
-    point: float
-    ci_low: float
-    ci_high: float
-    level: float
-    method: str
-    b_requested: int
-    b_effective: int
-    p_one_sided: float
-    params: BcaParams
+    z0: float
+    a: float
 
 
 def derive_entropy(base_seed: int, measure_id: str, spec_id: str) -> int:
@@ -301,11 +292,13 @@ def bca_interval(
     replicates: np.ndarray,
     point: float,
     jackknife: np.ndarray,
-    alpha: float = 0.05,
+    alpha: float = 1.0 - DEFAULT_LEVEL,
 ) -> BcaInterval:
     """BCa endpoints, or the percentile fallback when the correction is
-    undefined. Quantiles use linear interpolation (numpy default),
-    declared here as the package-wide convention."""
+    undefined (see BcaInterval). Quantiles use linear interpolation (numpy
+    default), declared here as the package-wide convention. The default
+    alpha is 1 - DEFAULT_LEVEL (0.05000000000000004, not 0.05), the value
+    every written interval was built at."""
     replicates = np.asarray(replicates, dtype=np.float64)
     if replicates.size == 0:
         raise BootstrapFailureError("empty replicate array")
@@ -329,7 +322,7 @@ def bca_interval(
 
     if not np.isfinite(z0) or not have_accel:
         lo, hi = _percentile(replicates, alpha)
-        return BcaInterval(lo, hi, "percentile_fallback", BcaParams(z0=float(z0), a=a))
+        return BcaInterval(lo, hi, "percentile_fallback", float(z0), a)
 
     def adjusted(alpha_target: float) -> float:
         z = float(ndtri(alpha_target))
@@ -343,9 +336,9 @@ def bca_interval(
     q_hi = adjusted(1.0 - alpha / 2.0)
     if not (np.isfinite(q_lo) and np.isfinite(q_hi) and q_lo < q_hi):
         lo, hi = _percentile(replicates, alpha)
-        return BcaInterval(lo, hi, "percentile_fallback", BcaParams(z0=z0, a=a))
+        return BcaInterval(lo, hi, "percentile_fallback", z0, a)
     lo, hi = np.quantile(replicates, [q_lo, q_hi], method="linear")
-    return BcaInterval(float(lo), float(hi), "bca", BcaParams(z0=z0, a=a))
+    return BcaInterval(float(lo), float(hi), "bca", z0, a)
 
 
 def one_sided_p(replicates: np.ndarray) -> float:
@@ -356,29 +349,3 @@ def one_sided_p(replicates: np.ndarray) -> float:
     b = replicates.size
     return float((1 + np.count_nonzero(replicates <= 0.0)) / (b + 1))
 
-
-def bootstrap_around(
-    sample: PairedSample,
-    statistic: Statistic,
-    point: float,
-    jackknife: np.ndarray,
-    b: int,
-    entropy: int,
-    level: float = DEFAULT_LEVEL,
-) -> BootstrapResult:
-    """BCa interval and one-sided p for a statistic whose finite point
-    estimate and kept jackknife values the caller has evaluated (once per
-    measure, for several statistics): the B replicates are drawn here."""
-    replicates, _ = resample_statistic(sample, statistic, b, entropy)
-    interval = bca_interval(replicates, point, jackknife, alpha=1.0 - level)
-    return BootstrapResult(
-        point=point,
-        ci_low=interval.ci_low,
-        ci_high=interval.ci_high,
-        level=level,
-        method=interval.method,
-        b_requested=b,
-        b_effective=int(replicates.size),
-        p_one_sided=one_sided_p(replicates),
-        params=interval.params,
-    )

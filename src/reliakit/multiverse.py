@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .bootstrap import bootstrap_around, derive_entropy
+from .bootstrap import bca_interval, derive_entropy, one_sided_p, resample_statistic
 from .errors import BootstrapFailureError, EstimatorError
 from .estimators import (
     CorrMethod,
@@ -189,11 +189,11 @@ def run_cell(
     statistic = partial(nlr_delta_rows, k=k, corr_method=method)
     entropy = derive_entropy(base_seed, sample.measure_id, spec.spec_id)
     try:
-        boot = bootstrap_around(
-            sample, statistic, mi_ksg - mi_gauss, jack[np.isfinite(jack)], b, entropy
-        )
+        replicates, _ = resample_statistic(sample, statistic, b, entropy)
     except BootstrapFailureError:
         return _cell(spec, sample, STATUS_DEGENERATE)
+    point = mi_ksg - mi_gauss
+    interval = bca_interval(replicates, point, jack[np.isfinite(jack)])
     icc2, icc3 = terms.icc_2_1, terms.icc_3_1
     return _cell(
         spec,
@@ -202,17 +202,17 @@ def run_cell(
         rho=terms.rho[method],
         mi_ksg=mi_ksg,
         mi_gauss=mi_gauss,
-        nlr_delta=boot.point,
-        ci_low=boot.ci_low,
-        ci_high=boot.ci_high,
-        method=boot.method,
-        p=boot.p_one_sided,
+        nlr_delta=point,
+        ci_low=interval.ci_low,
+        ci_high=interval.ci_high,
+        method=interval.method,
+        p=one_sided_p(replicates),
         q=None,
         icc_2_1=icc2.value,
         icc_2_1_low=icc2.ci_low,
         icc_2_1_high=icc2.ci_high,
         icc_3_1=icc3.value,
-        headline_pass=headline_pass(boot.ci_low),
+        headline_pass=headline_pass(interval.ci_low),
     )
 
 

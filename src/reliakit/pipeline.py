@@ -36,12 +36,14 @@ from .multiverse import (
     summarize,
 )
 from .outputs import (
+    GATE_REPORT_JSON,
     INGEST_EVIDENCE_JSON,
     MULTIVERSE_CSV,
     MULTIVERSE_SCHEMA,
     MULTIVERSE_SUMMARY_JSON,
     PER_MEASURE_CSV,
     PER_MEASURE_SCHEMA,
+    PROVENANCE_JSON,
     SUMMARY_JSON,
     multiverse_row,
     per_measure_row,
@@ -54,9 +56,7 @@ from .provenance import (
     GateReport,
     build_provenance,
     digest_inputs,
-    emit_provenance,
     run_gate,
-    write_gate_report,
 )
 from .registry import ContractRegistry, load_contract
 
@@ -131,11 +131,6 @@ def _load_samples(workspace: Path, registry: ContractRegistry):
     return len(table), samples, measures_evidence
 
 
-def _measure_task(args) -> list[MultiverseCell]:
-    specs, sample, base_seed, b = args
-    return run_measure(specs, sample, base_seed, b)
-
-
 def _pool_size(tasks: list, workers: int) -> int:
     """Processes worth starting for tasks: at most workers, one per task,
     and one per _POOL_MIN_WORK of estimated work. At most 1 means serial."""
@@ -146,9 +141,9 @@ def _pool_size(tasks: list, workers: int) -> int:
 def _run_measures(tasks: list, workers: int) -> list[list[MultiverseCell]]:
     processes = _pool_size(tasks, workers)
     if processes <= 1:
-        return [_measure_task(t) for t in tasks]
+        return [run_measure(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(_measure_task, tasks))
+        return list(pool.map(run_measure, *zip(*tasks)))
 
 
 def _execute(
@@ -191,7 +186,7 @@ def _execute(
         input_digests,
         config.out_dir,
     )
-    emit_provenance(record, config.out_dir)
+    write_json(config.out_dir / PROVENANCE_JSON, asdict(record))
     return summary
 
 
@@ -237,5 +232,5 @@ def cmd_verify(mode: str, workspace: str | Path, out_dir: str | Path) -> GateRep
     directory; run `run` and `multiverse` first."""
     out_dir = Path(out_dir)
     report = run_gate(mode, Path(workspace), out_dir)
-    write_gate_report(report, out_dir)
+    write_json(out_dir / GATE_REPORT_JSON, report.to_dict())
     return report

@@ -47,7 +47,6 @@ from .outputs import (
     COMMAND_OUTPUTS,
     COUNT,
     DIGESTED_OUTPUTS,
-    GATE_REPORT_JSON,
     INGEST_EVIDENCE_JSON,
     INGEST_EVIDENCE_SCHEMA,
     MEASURE_EVIDENCE_SCHEMA,
@@ -55,6 +54,7 @@ from .outputs import (
     MULTIVERSE_SUMMARY_JSON,
     PER_MEASURE_CSV,
     PROVENANCE_JSON,
+    SCHEMAS,
     STRING_MAP,
     SUMMARY_JSON,
     MapOf,
@@ -67,7 +67,6 @@ from .outputs import (
     validate_per_measure_csv,
     validate_provenance_json,
     validate_summary_json,
-    write_json,
 )
 from .registry import parse_contract, verify_declared_counts
 
@@ -85,14 +84,8 @@ GATE_CONFIG_SCHEMA = {
     "pinned_digests": STRING_MAP,
 }
 
-REQUIRED_OUTPUTS = (
-    PER_MEASURE_CSV,
-    SUMMARY_JSON,
-    MULTIVERSE_CSV,
-    MULTIVERSE_SUMMARY_JSON,
-    INGEST_EVIDENCE_JSON,
-    PROVENANCE_JSON,
-)
+# every output that has a schema: the digested outputs and provenance.json
+REQUIRED_OUTPUTS = tuple(SCHEMAS)
 
 
 def _load_hash_manifest(workspace: Path) -> dict[str, str]:
@@ -167,15 +160,6 @@ class ProvenanceRecord:
     outputs: dict[str, dict]
     timestamp: str
 
-    def to_dict(self) -> dict:
-        return {
-            "run_mode": self.run_mode,
-            "toolchain_versions": dict(self.toolchain_versions),
-            "input_digests": dict(self.input_digests),
-            "outputs": {name: dict(entry) for name, entry in self.outputs.items()},
-            "timestamp": self.timestamp,
-        }
-
 
 def _earlier_outputs(out_dir: Path, run_mode: str, input_digests: dict[str, str]) -> dict[str, dict]:
     """Output entries of the record already in out_dir, if it was made in the
@@ -230,12 +214,6 @@ def build_provenance(
     )
 
 
-def emit_provenance(record: ProvenanceRecord, out_dir: Path) -> Path:
-    path = out_dir / PROVENANCE_JSON
-    write_json(path, record.to_dict())
-    return path
-
-
 # ---------------------------------------------------------------------------
 # promotion gate
 
@@ -267,28 +245,7 @@ class GateReport:
         return sum(c.skipped for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "overall": self.overall,
-            "executed": self.executed,
-            "skipped": self.skipped,
-            "checks": [
-                {
-                    "id": c.id,
-                    "name": c.name,
-                    "passed": c.passed,
-                    "skipped": c.skipped,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
-
-
-def write_gate_report(report: GateReport, out_dir: Path) -> Path:
-    path = out_dir / GATE_REPORT_JSON
-    write_json(path, report.to_dict())
-    return path
+        return {**asdict(self), "overall": self.overall, "executed": self.executed, "skipped": self.skipped}
 
 
 def _load_gate_config(workspace: Path) -> dict:
@@ -481,9 +438,7 @@ __all__ = [
     "GateReport",
     "build_provenance",
     "digest_inputs",
-    "emit_provenance",
     "run_gate",
-    "write_gate_report",
     "toolchain_versions",
     "canonical_json",
 ]

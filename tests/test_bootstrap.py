@@ -1,5 +1,6 @@
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from reliakit import (
 from reliakit import bootstrap
 from reliakit.bootstrap import (
     _BLOCK_ELEMENTS,
+    DEFAULT_LEVEL,
     MAX_B,
     bca_interval,
-    bootstrap_around,
     derive_entropy,
     jackknife_values,
     one_sided_p,
@@ -308,13 +309,16 @@ def test_jackknife_leaves_one_out():
     assert np.allclose(got, want, atol=1e-15)
 
 
+ALPHA = 1.0 - DEFAULT_LEVEL  # bca_interval's default
+
+
 def test_bca_frozen_oracle_case():
     reps = np.array([-0.5, -0.2, -0.1, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.9])
     jack = np.array([0.1, 0.15, 0.2, 0.12, 0.3, 0.25, 0.05, 0.18])
     interval = bca_interval(reps, point=0.18, jackknife=jack)
     assert interval.method == "bca"
-    assert interval.params.z0 == 0.0
-    assert interval.params.a == pytest.approx(-0.01176183230352536, abs=1e-15)
+    assert interval.z0 == 0.0
+    assert interval.a == pytest.approx(-0.01176183230352536, abs=1e-15)
     assert interval.ci_low == pytest.approx(-0.43947470061265526, abs=1e-12)
     assert interval.ci_high == pytest.approx(0.825222661703247, abs=1e-12)
 
@@ -324,12 +328,12 @@ def test_bca_extreme_bias_falls_back_to_percentile():
     jack = np.array([0.1, 0.2, 0.3, 0.15])
     interval = bca_interval(reps, point=0.5, jackknife=jack)
     assert interval.method == "percentile_fallback"
-    assert interval.params.z0 == -np.inf
-    lo, hi = np.quantile(reps, [0.025, 0.975], method="linear")
+    assert interval.z0 == -np.inf
+    lo, hi = np.quantile(reps, [ALPHA / 2.0, 1.0 - ALPHA / 2.0], method="linear")
     assert (interval.ci_low, interval.ci_high) == (float(lo), float(hi))
 
     flipped = bca_interval(reps, point=3.0, jackknife=jack)
-    assert flipped.params.z0 == np.inf
+    assert flipped.z0 == np.inf
     assert flipped.method == "percentile_fallback"
 
 
@@ -338,9 +342,9 @@ def test_bca_flat_jackknife_falls_back():
     reps = rng.normal(size=200)
     interval = bca_interval(reps, point=0.0, jackknife=np.full(10, 0.4))
     assert interval.method == "percentile_fallback"
-    assert np.isfinite(interval.params.z0)
-    assert interval.params.a == 0.0
-    lo, hi = np.quantile(reps, [0.025, 0.975], method="linear")
+    assert np.isfinite(interval.z0)
+    assert interval.a == 0.0
+    lo, hi = np.quantile(reps, [ALPHA / 2.0, 1.0 - ALPHA / 2.0], method="linear")
     assert (interval.ci_low, interval.ci_high) == (float(lo), float(hi))
 
 
@@ -365,29 +369,38 @@ def test_one_sided_p_counting():
 
 
 def bootstrap_at_point(sample, statistic, b, entropy):
-    """bootstrap_around the statistic's observed value and its kept
-    jackknife values."""
+    """The engine's steps around the statistic's observed value: its B
+    replicates, then the BCa interval on its kept jackknife values and the
+    one-sided p."""
     point = float(statistic(sample.x1[None], sample.x2[None])[0])
-    return bootstrap_around(sample, statistic, point, jackknife_values(sample, statistic), b, entropy)
+    replicates, n_dropped = resample_statistic(sample, statistic, b, entropy)
+    jack = jackknife_values(sample, statistic)
+    interval = bca_interval(replicates, point, jack)
+    return SimpleNamespace(
+        point=point,
+        replicates=replicates,
+        n_dropped=n_dropped,
+        interval=interval,
+        p=one_sided_p(replicates),
+    )
 
 
-def test_bootstrap_around_fields():
+def test_bootstrap_at_point_fields():
     rng = np.random.default_rng(21)
     s = gauss_pairs(rng, 30, rho=0.6)
     e = derive_entropy(42, "m", "s")
     result = bootstrap_at_point(s, rows_of(pearson), b=400, entropy=e)
     assert result.point == pearson(s)
-    assert result.b_requested == 400
-    assert 0 < result.b_effective <= 400
-    assert result.ci_low <= result.ci_high
-    assert 0.0 < result.p_one_sided <= 1.0
-    assert result.level == 0.95
-    assert result.method in ("bca", "percentile_fallback")
+    assert result.replicates.size + result.n_dropped == 400
+    assert result.interval.ci_low <= result.interval.ci_high
+    assert 0.0 < result.p <= 1.0
+    assert result.interval.method in ("bca", "percentile_fallback")
     again = bootstrap_at_point(s, rows_of(pearson), b=400, entropy=e)
-    assert result == again
+    assert np.array_equal(again.replicates, result.replicates)
+    assert (again.n_dropped, again.interval, again.p) == (result.n_dropped, result.interval, result.p)
 
 
-def test_bootstrap_around_interval_covers_truth_mostly():
+def test_bootstrap_at_point_interval_covers_truth_mostly():
     # 95% BCa interval for a normal mean at n = 60: nominal coverage is
     # 0.95 with the usual finite-n, finite-B shortfall. The seeds are fixed
     # so this is a deterministic regression (realization 0.927); the band
@@ -400,7 +413,7 @@ def test_bootstrap_around_interval_covers_truth_mostly():
         x = rng.normal(loc=0.3, scale=1.0, size=60)
         s = make_sample(x, np.zeros_like(x))
         result = bootstrap_at_point(s, mean_x1, b=500, entropy=t)
-        if result.ci_low <= 0.3 <= result.ci_high:
+        if result.interval.ci_low <= 0.3 <= result.interval.ci_high:
             hits += 1
     coverage = hits / trials
     assert 0.91 <= coverage <= 0.97, f"coverage {coverage}"
@@ -452,5 +465,5 @@ def test_every_deletion_degenerate_at_n_k_plus_1(k):
     assert jackknife_values(s, statistic).size == 0
     assert loop_jackknife(s, partial(nlr_delta_1d, k=k)).size == 0
     result = bootstrap_at_point(s, statistic, b=100, entropy=k)
-    assert result.method == "percentile_fallback"
+    assert result.interval.method == "percentile_fallback"
     assert result.point == nlr_delta(s, k)

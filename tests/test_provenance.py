@@ -28,13 +28,13 @@ from reliakit.outputs import (
     validate_provenance_json,
     validate_summary_json,
     write_csv,
+    write_json,
 )
 from reliakit.errors import SchemaError
 from reliakit.provenance import (
     _load_gate_config,
     build_provenance,
     run_gate,
-    write_gate_report,
 )
 
 ALL_CHECK_IDS = [f"R{i}" for i in range(1, 17)]
@@ -271,7 +271,8 @@ def test_gate_is_idempotent_and_read_only(smoke_run):
 def test_gate_report_round_trip(smoke_run, tmp_path):
     ws, out = smoke_run
     report = run_gate("smoke", ws, out)
-    path = write_gate_report(report, tmp_path)
+    path = tmp_path / GATE_REPORT_JSON
+    write_json(path, report.to_dict())
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["overall"] is True
     assert doc["mode"] == "smoke"
