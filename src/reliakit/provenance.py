@@ -25,8 +25,9 @@ gate verifies a workspace/output pair without writing anything:
 
 Smoke mode executes R1-R12 and R14, and reports R13, R15 and R16 as
 skipped, never passed.
-The checks that read a file's fields (R3, R7-R12, R14) read it through its
-schema in reliakit.outputs.
+The checks that read a file's fields (R3-R12, R14) read it through a
+schema: R4-R6 the contract through registry.parse_contract, which uses the
+field kinds of reliakit.outputs, and the others the schemas there.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ exactly; a mismatch is treated as tampering, not as a warning.
 
 dataset_id follows the "<archive>:<task>" convention; the suffix after the
 first colon selects rows of the processed long table by their task column.
+An id without a colon is the task itself, and an id whose suffix is empty
+names no task and is refused.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
     ClaimTierViolationError,
     ContractParseError,
     ImmutabilityViolationError,
+    SchemaError,
     UnknownMeasureError,
 )
 
@@ -79,8 +82,7 @@ class MeasureContract:
     @property
     def task(self) -> str:
         """Task key within the processed long table."""
-        _, _, suffix = self.dataset_id.partition(":")
-        return suffix if suffix else self.dataset_id
+        return self.dataset_id.partition(":")[2] or self.dataset_id
 
 
 @dataclass(frozen=True)
@@ -122,64 +124,18 @@ class ContractRegistry:
         return self.by_tier(Tier.PRIMARY)
 
 
-def _parse_entry(raw: object, index: int) -> MeasureContract:
-    if not isinstance(raw, dict):
-        raise ContractParseError(f"entry {index} is not an object")
-    try:
-        measure_id = raw["measure_id"]
-        dataset_id = raw["dataset_id"]
-        tier_raw = raw["tier"]
-        agg_raw = raw["aggregation"]
-        description = raw["description"]
-    except KeyError as exc:
-        raise ContractParseError(
-            f"entry {index} is missing key {exc.args[0]!r}"
-        ) from None
-    if not isinstance(measure_id, str) or not measure_id:
-        raise ContractParseError(f"entry {index}: measure_id must be a non-empty string")
-    if not isinstance(dataset_id, str) or not dataset_id:
-        raise ContractParseError(f"entry {index}: dataset_id must be a non-empty string")
-    if not isinstance(description, str):
-        raise ContractParseError(f"entry {index}: description must be a string")
-    try:
-        tier = Tier(tier_raw)
-    except ValueError:
-        raise ContractParseError(
-            f"entry {index}: unknown tier {tier_raw!r}"
-        ) from None
-    if not isinstance(agg_raw, dict):
-        raise ContractParseError(f"entry {index}: aggregation must be an object")
-    unknown = set(agg_raw) - {"outcome", "condition_a", "condition_b", "unit"}
-    if unknown:
-        raise ContractParseError(
-            f"entry {index}: unknown aggregation keys {sorted(unknown)}"
-        )
-    try:
-        recipe = AggregationRecipe(
-            outcome=agg_raw["outcome"],
-            condition_a=agg_raw["condition_a"],
-            condition_b=agg_raw.get("condition_b"),
-            unit=agg_raw["unit"],
-        )
-    except KeyError as exc:
-        raise ContractParseError(
-            f"entry {index}: aggregation is missing {exc.args[0]!r}"
-        ) from None
-    return MeasureContract(
-        measure_id=measure_id,
-        dataset_id=dataset_id,
-        tier=tier,
-        aggregation=recipe,
-        description=description,
-    )
-
-
 def parse_contract(path: str | Path) -> ContractRegistry:
     """Parse a contract document without checking declared counts.
 
     The promotion gate validates parsing and count immutability as two
-    separate checks, so the split lives here too.
+    separate checks, so the split lives here too. The document's shape is
+    checked through the typed schema kinds of reliakit.outputs; every
+    problem, a schema one included, raises ContractParseError.
     """
+    # outputs imports inference, which imports this module, so the kinds
+    # are taken at call time
+    from .outputs import COUNT, LIST, OBJECT, TEXT, Kind, MapOf, _one_of, _optional, check_json
+
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -187,38 +143,54 @@ def parse_contract(path: str | Path) -> ContractRegistry:
         raise ContractParseError(f"contract file not found: {path}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContractParseError(f"contract is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ContractParseError("contract document must be a JSON object")
+    tiers = sorted(tier.value for tier in Tier)
+    string = Kind("a string", lambda v: isinstance(v, str))
+    entry_schema = {
+        "measure_id": TEXT,
+        "dataset_id": Kind(
+            'a non-empty "<archive>:<task>" or "<task>"',
+            lambda v: TEXT.test(v) and v.partition(":")[1:] != (":", ""),
+        ),
+        "tier": _one_of(*tiers),
+        "description": string,
+        "aggregation": OBJECT,
+    }
+    recipe_schema = {
+        "outcome": string,
+        "condition_a": TEXT,
+        "condition_b": _optional(TEXT),
+        "unit": string,
+    }
     try:
-        version = doc["version"]
+        check_json(doc, {"version": string, "declared_counts": MapOf(COUNT), "entries": LIST}, "contract")
         declared = doc["declared_counts"]
-        entries_raw = doc["entries"]
-    except KeyError as exc:
-        raise ContractParseError(
-            f"contract is missing key {exc.args[0]!r}"
-        ) from None
-    if not isinstance(version, str):
-        raise ContractParseError("version must be a string")
-    if not isinstance(declared, dict):
-        raise ContractParseError("declared_counts must be an object")
-    valid_tiers = {tier.value for tier in Tier}
-    unknown = set(declared) - valid_tiers
-    if unknown:
-        raise ContractParseError(
-            f"declared_counts has unknown tiers {sorted(unknown)}"
-        )
-    counts: dict[str, int] = {}
-    for tier_name in sorted(valid_tiers):
-        value = declared.get(tier_name, 0)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ContractParseError(
-                f"declared_counts[{tier_name!r}] must be a non-negative integer"
+        unknown = set(declared) - set(tiers)
+        if unknown:
+            raise ContractParseError(f"declared_counts has unknown tiers {sorted(unknown)}")
+        # a tier the document leaves out is declared empty
+        counts = {tier: declared.get(tier, 0) for tier in tiers}
+        entries = []
+        for i, raw in enumerate(doc["entries"]):
+            where = f"contract:entries:{i}"
+            check_json(raw, entry_schema, where)
+            # condition_b is optional; null reads as absent
+            recipe = {"condition_b": None, **raw["aggregation"]}
+            unknown = set(recipe) - set(recipe_schema)
+            if unknown:
+                raise ContractParseError(f"{where}: unknown aggregation keys {sorted(unknown)}")
+            check_json(recipe, recipe_schema, f"{where}:aggregation")
+            entries.append(
+                MeasureContract(
+                    measure_id=raw["measure_id"],
+                    dataset_id=raw["dataset_id"],
+                    tier=Tier(raw["tier"]),
+                    aggregation=AggregationRecipe(**recipe),
+                    description=raw["description"],
+                )
             )
-        counts[tier_name] = value
-    if not isinstance(entries_raw, list):
-        raise ContractParseError("entries must be an array")
-    entries = tuple(_parse_entry(raw, i) for i, raw in enumerate(entries_raw))
-    return ContractRegistry(version=version, declared_counts=counts, entries=entries)
+    except SchemaError as exc:
+        raise ContractParseError(str(exc)) from None
+    return ContractRegistry(version=doc["version"], declared_counts=counts, entries=tuple(entries))
 
 
 def verify_declared_counts(registry: ContractRegistry) -> None:

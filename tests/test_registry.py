@@ -205,3 +205,75 @@ def test_eligibility_matches_tier_exactly(tmp_path):
 def test_loading_is_pure(tmp_path):
     path = write_doc(tmp_path, contract_doc())
     assert load_contract(path) == load_contract(path)
+
+
+DELETE = object()
+
+
+def mutated(path, value):
+    """contract_doc() with the value at path (a tuple of keys and indices)
+    replaced by value, or deleted when value is DELETE; the empty path
+    replaces the whole document."""
+    if not path:
+        return value
+    doc = contract_doc()
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+AGG = ("entries", 0, "aggregation")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param((), [], id="document-not-object"),
+        pytest.param(("entries", 0), "stroop", id="entry-not-object"),
+        pytest.param(("version",), DELETE, id="missing-version"),
+        pytest.param(("entries", 0, "tier"), DELETE, id="missing-entry-key"),
+        pytest.param(AGG + ("unit",), DELETE, id="missing-aggregation-key"),
+        pytest.param(("entries", 0, "measure_id"), "", id="empty-measure-id"),
+        pytest.param(("entries", 0, "dataset_id"), "", id="empty-dataset-id"),
+        pytest.param(("entries", 0, "dataset_id"), "archive1:", id="dataset-id-without-task"),
+        pytest.param(("version",), 1, id="version-not-string"),
+        pytest.param(("entries", 0, "description"), None, id="description-not-string"),
+        pytest.param(("entries", 0, "tier"), "aspirational", id="unknown-tier"),
+        pytest.param(AGG, ["mean_rt"], id="aggregation-not-object"),
+        pytest.param(AGG + ("window",), "full", id="unknown-aggregation-key"),
+        pytest.param(AGG + ("condition_a",), "", id="empty-condition-a"),
+        pytest.param(AGG + ("condition_a",), 5, id="condition-a-not-string"),
+        pytest.param(AGG + ("condition_b",), "", id="empty-condition-b"),
+        pytest.param(AGG + ("condition_b",), 5, id="condition-b-not-string"),
+        pytest.param(("declared_counts", "primary"), True, id="bool-declared-count"),
+        pytest.param(("declared_counts", "primary"), -1, id="negative-declared-count"),
+        pytest.param(("declared_counts", "bonus"), 0, id="unknown-declared-tier"),
+        pytest.param(("entries",), {}, id="entries-not-list"),
+    ],
+)
+def test_malformed_contract_is_a_parse_error(tmp_path, path, value):
+    with pytest.raises(ContractParseError):
+        parse_contract(write_doc(tmp_path, mutated(path, value)))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param(("version",), "", id="empty-version"),
+        pytest.param(("entries", 0, "description"), "", id="empty-description"),
+        pytest.param(("entries", 1, "aggregation", "condition_b"), None, id="null-condition-b"),
+        pytest.param(("declared_counts", "canonical"), DELETE, id="missing-declared-tier"),
+        pytest.param(("entries", 0, "dataset_id"), "stroop", id="dataset-id-without-archive"),
+    ],
+)
+def test_edge_contract_parses(tmp_path, path, value):
+    registry = load_contract(write_doc(tmp_path, mutated(path, value)))
+    assert registry.get("stroop_contrast").task == "stroop"
+    assert registry.declared_counts["canonical"] == 0
+    assert registry.get("stroop_accuracy").aggregation.condition_b is None
