@@ -16,6 +16,10 @@ specification, multiverse the whole grid.
 
 __version__ = "0.1.0"
 
+# first: scipy's ufunc extension loads scipy's OpenBLAS, whose worker thread
+# busy-waits for about 0.13 s after the load; loaded first, most of that wait
+# runs alongside the rest of this import instead of inside the first command
+from . import special  # noqa: F401
 from .bootstrap import (
     bca_interval,
     derive_entropy,

@@ -46,10 +46,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+# np.quantile imports numpy.ma on its first call; load it with the package,
+# not inside the first command
+import numpy.ma
 
 from .errors import BootstrapFailureError
 from .ingest import PairedSample
+from .special import ndtr, ndtri
 
 DEFAULT_LEVEL = 0.95
 

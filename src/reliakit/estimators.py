@@ -134,11 +134,11 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import betaincinv
 
 from .digamma import digamma_table
 from .errors import DegenerateSampleError, EstimatorError
 from .ingest import PairedSample
+from .special import betaincinv
 
 RHO_CLAMP = 1.0 - 1e-12
 DEFAULT_K = 4

@@ -497,16 +497,58 @@ def test_module_entry_point():
 
 
 def test_command_imports_stay_light():
-    """What the console script and the benchmark load imports scipy.special
-    and scipy's private modules, never the heavy subpackages: scipy.stats
-    alone costs about 0.9 s and 45 MB at start-up."""
+    """What the console script and the benchmark load never imports scipy's
+    heavy subpackages (scipy.stats alone costs about 0.9 s and 45 MB at
+    start-up), nor scipy.special's __init__ and the array-API layer it
+    builds, which loads numpy.f2py and numpy.testing: reliakit.special takes
+    the three ufuncs from scipy.special._ufuncs without it."""
     src = Path(reliakit.__file__).resolve().parents[1]
-    heavy = ("scipy.stats", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+    unwanted = (
+        "scipy.stats",
+        "scipy.linalg",
+        "scipy.optimize",
+        "scipy.sparse",
+        "scipy.special._basic",
+        "scipy._lib._array_api",
+        "numpy.f2py",
+        "numpy.testing",
+    )
     code = (
         "import sys\n"
         "import reliakit, reliakit.fixtures, reliakit.outputs, reliakit.pipeline\n"
         "import reliakit.provenance, reliakit.cli\n"
-        f"print(sorted(name for name in {heavy!r} if name in sys.modules))\n"
+        f"print(sorted(name for name in {unwanted!r} if name in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_commands_import_nothing_on_first_call(tmp_path):
+    """Every module a command needs is loaded with the package, so its cost
+    stays in start-up and never lands in the first command (np.quantile,
+    for one, imports numpy.ma on its first call). The smoke workspace is
+    made beforehand, in this process, as the benchmark makes it before its
+    clocks start."""
+    src = Path(reliakit.__file__).resolve().parents[1]
+    ws, out = tmp_path / "ws", tmp_path / "out"
+    ensure_smoke_workspace(ws)
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import reliakit.cli\n"
+        "from reliakit.pipeline import RunConfig, cmd_multiverse, cmd_run, cmd_verify\n"
+        f"ws, out = Path({str(ws)!r}), Path({str(out)!r})\n"
+        "before = set(sys.modules)\n"
+        "for command in (cmd_run, cmd_multiverse):\n"
+        "    command(RunConfig(mode='smoke', workspace=ws, out_dir=out, bootstrap_b=20, workers=1))\n"
+        "cmd_verify('smoke', ws, out)\n"
+        "print(sorted(set(sys.modules) - before))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
