@@ -60,10 +60,8 @@ from .inference import (
 from .ingest import (
     PairedSample,
     TrialTable,
-    aggregate_scores,
     build_sample,
     filter_trials,
-    pair_sessions,
     read_long_csv,
     verify_archive,
 )
@@ -119,10 +117,8 @@ __all__ = [
     "headline_pass",
     "PairedSample",
     "TrialTable",
-    "aggregate_scores",
     "build_sample",
     "filter_trials",
-    "pair_sessions",
     "read_long_csv",
     "verify_archive",
     "DEFAULT_SPEC",

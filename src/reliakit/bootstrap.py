@@ -54,7 +54,9 @@ from .errors import BootstrapFailureError
 from .ingest import PairedSample
 from .special import ndtr, ndtri
 
-DEFAULT_LEVEL = 0.95
+LEVEL = 0.95
+# 0.05000000000000004, not 0.05: the alpha every written interval was built at
+ALPHA = 1.0 - LEVEL
 
 MAX_B = 1 << 32  # a replicate index must be one 32-bit SeedSequence word
 
@@ -286,8 +288,8 @@ def jackknife_values(sample: PairedSample, statistic: Statistic) -> np.ndarray:
     return values[np.isfinite(values)]
 
 
-def _percentile(replicates: np.ndarray, alpha: float) -> tuple[float, float]:
-    lo, hi = np.quantile(replicates, [alpha / 2.0, 1.0 - alpha / 2.0], method="linear")
+def _percentile(replicates: np.ndarray) -> tuple[float, float]:
+    lo, hi = np.quantile(replicates, [ALPHA / 2.0, 1.0 - ALPHA / 2.0], method="linear")
     return float(lo), float(hi)
 
 
@@ -295,13 +297,11 @@ def bca_interval(
     replicates: np.ndarray,
     point: float,
     jackknife: np.ndarray,
-    alpha: float = 1.0 - DEFAULT_LEVEL,
 ) -> BcaInterval:
-    """BCa endpoints, or the percentile fallback when the correction is
-    undefined (see BcaInterval). Quantiles use linear interpolation (numpy
-    default), declared here as the package-wide convention. The default
-    alpha is 1 - DEFAULT_LEVEL (0.05000000000000004, not 0.05), the value
-    every written interval was built at."""
+    """BCa endpoints at level LEVEL, or the percentile fallback when the
+    correction is undefined (see BcaInterval). Quantiles use linear
+    interpolation (numpy default), declared here as the package-wide
+    convention."""
     replicates = np.asarray(replicates, dtype=np.float64)
     if replicates.size == 0:
         raise BootstrapFailureError("empty replicate array")
@@ -324,7 +324,7 @@ def bca_interval(
             have_accel = True
 
     if not np.isfinite(z0) or not have_accel:
-        lo, hi = _percentile(replicates, alpha)
+        lo, hi = _percentile(replicates)
         return BcaInterval(lo, hi, "percentile_fallback", float(z0), a)
 
     def adjusted(alpha_target: float) -> float:
@@ -335,10 +335,10 @@ def bca_interval(
             return np.nan
         return float(ndtr(z0 + num / denom))
 
-    q_lo = adjusted(alpha / 2.0)
-    q_hi = adjusted(1.0 - alpha / 2.0)
+    q_lo = adjusted(ALPHA / 2.0)
+    q_hi = adjusted(1.0 - ALPHA / 2.0)
     if not (np.isfinite(q_lo) and np.isfinite(q_hi) and q_lo < q_hi):
-        lo, hi = _percentile(replicates, alpha)
+        lo, hi = _percentile(replicates)
         return BcaInterval(lo, hi, "percentile_fallback", z0, a)
     lo, hi = np.quantile(replicates, [q_lo, q_hi], method="linear")
     return BcaInterval(float(lo), float(hi), "bca", z0, a)

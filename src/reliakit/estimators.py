@@ -119,8 +119,8 @@ Implementation notes that matter for reproducibility:
   between pool workers.
 
 ICC follows McGraw & Wong (1996): ICC(2,1) treats sessions as random,
-ICC(3,1) as fixed. Confidence bounds use F quantiles at 1 - alpha/2 with
-the Satterthwaite degrees of freedom for ICC(2,1).
+ICC(3,1) as fixed. The 95% confidence bounds use F quantiles at
+1 - alpha/2 with the Satterthwaite degrees of freedom for ICC(2,1).
 """
 
 from __future__ import annotations
@@ -184,7 +184,6 @@ class IccEstimate:
     value: float
     ci_low: float
     ci_high: float
-    level: float = 0.95
     degenerate: bool = False
 
 
@@ -821,6 +820,10 @@ def nlr_delta_rows(
     return delta
 
 
+# the upper F quantile of the ICC's 95% interval: 1 - alpha/2, alpha = 1 - 0.95
+_ICC_Q = 1.0 - (1.0 - 0.95) / 2.0
+
+
 def _f_quantile(p: float, d1: float, d2: float) -> float:
     """Quantile of the F(d1, d2) distribution via the inverse regularized
     incomplete beta function. Cross-checked against scipy.stats.f.ppf in
@@ -831,7 +834,7 @@ def _f_quantile(p: float, d1: float, d2: float) -> float:
     return d2 * y / (d1 * (1.0 - y))
 
 
-def icc(sample: PairedSample, variant: IccVariant | str, level: float = 0.95) -> IccEstimate:
+def icc(sample: PairedSample, variant: IccVariant | str) -> IccEstimate:
     """Single-rater intraclass correlation for the two-session design.
 
     Two-way ANOVA decomposition with subjects as rows and sessions as the
@@ -853,24 +856,21 @@ def icc(sample: PairedSample, variant: IccVariant | str, level: float = 0.95) ->
     mse = float(np.sum(resid**2)) / ((n - 1) * (m - 1))
 
     if msr == 0.0:
-        return IccEstimate(variant, 0.0, 0.0, 0.0, level=level, degenerate=True)
-
-    alpha = 1.0 - level
-    q = 1.0 - alpha / 2.0
+        return IccEstimate(variant, 0.0, 0.0, 0.0, degenerate=True)
 
     if variant is IccVariant.TWO_WAY_FIXED:
         if mse == 0.0:
-            return IccEstimate(variant, 1.0, 1.0, 1.0, level=level)
+            return IccEstimate(variant, 1.0, 1.0, 1.0)
         value = (msr - mse) / (msr + (m - 1) * mse)
         f0 = msr / mse
-        fl = f0 / _f_quantile(q, n - 1, (n - 1) * (m - 1))
-        fu = f0 * _f_quantile(q, (n - 1) * (m - 1), n - 1)
+        fl = f0 / _f_quantile(_ICC_Q, n - 1, (n - 1) * (m - 1))
+        fu = f0 * _f_quantile(_ICC_Q, (n - 1) * (m - 1), n - 1)
         low = (fl - 1.0) / (fl + m - 1.0)
         high = (fu - 1.0) / (fu + m - 1.0)
-        return IccEstimate(variant, value, low, high, level=level)
+        return IccEstimate(variant, value, low, high)
 
     if mse == 0.0 and msc == 0.0:
-        return IccEstimate(variant, 1.0, 1.0, 1.0, level=level)
+        return IccEstimate(variant, 1.0, 1.0, 1.0)
     value = (msr - mse) / (msr + (m - 1) * mse + (m / n) * (msc - mse))
     if mse == 0.0:
         # session-offset-only residual: Satterthwaite df collapses to m - 1
@@ -882,8 +882,8 @@ def icc(sample: PairedSample, variant: IccVariant | str, level: float = 0.95) ->
         v_num = (m - 1) * (n - 1) * (a_term + b_term) ** 2
         v_den = (n - 1) * a_term**2 + b_term**2
         v = v_num / v_den
-    fu = _f_quantile(q, n - 1, v)
-    fl = _f_quantile(q, v, n - 1)
+    fu = _f_quantile(_ICC_Q, n - 1, v)
+    fl = _f_quantile(_ICC_Q, v, n - 1)
     low = (
         n * (msr - fu * mse)
         / (fu * (m * msc + (m * n - m - n) * mse) + n * msr)
@@ -892,4 +892,4 @@ def icc(sample: PairedSample, variant: IccVariant | str, level: float = 0.95) ->
         n * (fl * msr - mse)
         / (m * msc + (m * n - m - n) * mse + n * fl * msr)
     )
-    return IccEstimate(variant, value, low, high, level=level)
+    return IccEstimate(variant, value, low, high)

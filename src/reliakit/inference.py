@@ -21,7 +21,7 @@ STATUS_INSUFFICIENT_N = "insufficient_n"
 STATUS_DEGENERATE = "degenerate"
 STATUSES = (STATUS_OK, STATUS_INSUFFICIENT_N, STATUS_DEGENERATE)
 
-DEFAULT_Q_STAR = 0.05
+Q_STAR = 0.05  # the FDR level reported with the q-values
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,6 @@ def median_iqr(values: list[float]) -> tuple[float | None, list[float] | None]:
 def apply_primary_inference(
     estimates: list[ReliabilityEstimate],
     registry: ContractRegistry,
-    q_star: float = DEFAULT_Q_STAR,
 ) -> tuple[list[ReliabilityEstimate], dict]:
     """Attach q-values and headline verdicts; build the run summary.
 
@@ -123,7 +122,7 @@ def apply_primary_inference(
     width_median, _ = median_iqr(widths)
     icc_median, icc_iqr = median_iqr(iccs)
     summary = {
-        "q_star": q_star,
+        "q_star": Q_STAR,
         "n_primary": len(annotated),
         "counts": {
             "ok": len(ok),

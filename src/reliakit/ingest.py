@@ -1,10 +1,15 @@
-"""Input verification, trial filtering, aggregation, and session pairing.
+"""Input verification, the trial table, and each measure's paired sample.
 
 The pipeline consumes one processed long-format CSV with columns
 subject_id, task, session, condition, rt_ms, accuracy (accuracy may be
 empty for pure-RT tasks). Raw archives are verified by SHA-256 before any
 row is read. The table is read once into numpy columns (a TrialTable), and
-each measure's sample is built from those columns.
+build_sample turns those columns into each measure's PairedSample in one
+columnar pass: it keeps the task's trials within [RT_MIN_MS, RT_MAX_MS],
+scores each (subject, session) cell from its condition means, and pairs
+the two sessions of each subject. A cell with no trials of a wanted
+condition is a zero-trial cell and is not scored; a subject left with one
+scored cell is dropped. Both are recorded in the MeasureEvidence.
 
 csv.reader with the default dialect defines the table's format. Most
 tables are plain, though: no quotes, no carriage returns, six fields on
@@ -24,7 +29,7 @@ import math
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
 from typing import BinaryIO, NoReturn
 
@@ -32,7 +37,7 @@ import numpy as np
 
 from .errors import HashMismatchError, IngestError
 from .hashutil import sha256_file
-from .registry import AggregationRecipe, MeasureContract
+from .registry import MeasureContract
 
 RT_MIN_MS = 200.0
 RT_MAX_MS = 5000.0
@@ -537,33 +542,38 @@ def read_long_csv(path: str | Path) -> TrialTable:
     )
 
 
-def filter_trials(
-    rt_ms: np.ndarray,
-    min_ms: float = RT_MIN_MS,
-    max_ms: float = RT_MAX_MS,
-) -> tuple[np.ndarray, FilterCounts]:
-    """Mask of the trials to keep, dropping implausibly fast/slow ones;
-    trials exactly at a bound stay."""
-    below = rt_ms < min_ms
-    above = ~below & (rt_ms > max_ms)
+def filter_trials(rt_ms: np.ndarray) -> tuple[np.ndarray, FilterCounts]:
+    """Mask of the trials to keep, dropping those faster than RT_MIN_MS or
+    slower than RT_MAX_MS; trials exactly at a bound stay."""
+    below = rt_ms < RT_MIN_MS
+    above = ~below & (rt_ms > RT_MAX_MS)
     keep = ~(below | above)
     return keep, FilterCounts(
         below_min=int(below.sum()), above_max=int(above.sum()), kept=int(keep.sum())
     )
 
 
-def aggregate_scores(
-    table: TrialTable, rows: np.ndarray, recipe: AggregationRecipe
-) -> tuple[dict[tuple[str, int], float], list[str]]:
-    """One score per (subject, session) over the table rows `rows` (indices
-    in file order); cells with no trials are recorded and excluded rather
-    than scored.
+def build_sample(
+    table: TrialTable, contract: MeasureContract
+) -> tuple[PairedSample, MeasureEvidence]:
+    """One measure's paired sample and ingest evidence: select the task's
+    rows, filter trials, score each (subject, session) cell, and pair each
+    subject's two sessions.
 
-    Rows are grouped by a stable argsort on (subject, session, condition),
-    so each group holds its trials in file order. The means of all groups
-    of one condition with the same trial count come from one row-wise mean
-    of a C-contiguous (groups, count) array, which sums each row as the
-    1-d mean of its trials does."""
+    A cell is subject * 2 + session - 1. Rows are grouped by a stable
+    argsort on (cell, condition), so each group holds its trials in file
+    order. The means of all groups of one condition with the same trial
+    count come from one row-wise mean of a C-contiguous (groups, count)
+    array, which sums each row as the 1-d mean of its trials does. A cell's
+    score is its condition_a mean, less its condition_b mean for a
+    contrast. A cell with no trials of a wanted condition is a zero-trial
+    cell, named by the first such condition, and is not scored. Subject
+    codes are ranks in sorted() order, so the pairs come out sorted by
+    subject; a subject with one scored cell is dropped."""
+    recipe = contract.aggregation
+    task_rows = np.flatnonzero(table.task == _code(table.tasks, contract.task))
+    keep, counts = filter_trials(table.rt_ms[task_rows])
+    rows = task_rows[keep]
     conditions = max(len(table.conditions), 1)
     key = (table.subject[rows].astype(np.int64) * 2 + (table.session[rows] - 1)) * conditions
     key += table.condition[rows]
@@ -598,65 +608,34 @@ def aggregate_scores(
             "accuracy outcome requested but accuracy column is empty "
             f"for condition {wanted[first_missing[1]]!r}"
         )
-    scores: dict[tuple[str, int], float] = {}
-    zero_cells: list[str] = []
-    for cell_key, cell, has in zip(cells.tolist(), means.T.tolist(), present.T.tolist()):
-        subject, session = table.subjects[cell_key // 2], cell_key % 2 + 1
-        missing = [name for name, there in zip(wanted, has) if not there]
-        if missing:
-            zero_cells.append(f"{subject}/s{session}/{missing[0]}")
-            continue
-        scores[(subject, session)] = cell[0] - cell[1] if len(cell) == 2 else cell[0]
-    return scores, zero_cells
-
-
-def pair_sessions(
-    scores: dict[tuple[str, int], float], measure_id: str
-) -> tuple[PairedSample, list[str]]:
-    """Align session-1 and session-2 scores by subject, sorted by subject_id.
-
-    Subjects missing either session (or carrying a non-finite score) are
-    dropped and reported.
-    """
-    subjects = sorted({subject for subject, _ in scores})
-    x1: list[float] = []
-    x2: list[float] = []
-    kept: list[str] = []
-    dropped: list[str] = []
-    for subject in subjects:
-        a = scores.get((subject, 1))
-        b = scores.get((subject, 2))
-        if a is None or b is None or not (np.isfinite(a) and np.isfinite(b)):
-            dropped.append(subject)
-            continue
-        kept.append(subject)
-        x1.append(a)
-        x2.append(b)
-    sample = PairedSample(
-        measure_id=measure_id,
-        x1=np.asarray(x1, dtype=np.float64),
-        x2=np.asarray(x2, dtype=np.float64),
-        subjects=tuple(kept),
+    complete = present.all(axis=0)
+    first_absent = present[:, ~complete].argmin(axis=0)
+    zero_cells = tuple(
+        f"{table.subjects[cell // 2]}/s{cell % 2 + 1}/{wanted[w]}"
+        for cell, w in zip(cells[~complete].tolist(), first_absent.tolist())
     )
-    return sample, dropped
-
-
-def build_sample(
-    table: TrialTable, contract: MeasureContract
-) -> tuple[PairedSample, MeasureEvidence]:
-    """Full ingest path for one measure: select task rows, filter trials,
-    aggregate, pair sessions."""
-    task_rows = np.flatnonzero(table.task == _code(table.tasks, contract.task))
-    keep, counts = filter_trials(table.rt_ms[task_rows])
-    scores, zero_cells = aggregate_scores(table, task_rows[keep], contract.aggregation)
-    sample, dropped = pair_sessions(scores, contract.measure_id)
+    cell_means = means[:, complete]
+    scores = np.zeros((len(table.subjects), 2))
+    scored = np.zeros((len(table.subjects), 2), dtype=bool)
+    scores.reshape(-1)[cells[complete]] = (
+        cell_means[0] - cell_means[1] if len(wanted) == 2 else cell_means[0]
+    )
+    scored.reshape(-1)[cells[complete]] = True
+    paired = scored.all(axis=1)
+    dropped = scored.any(axis=1) & ~paired
+    sample = PairedSample(
+        measure_id=contract.measure_id,
+        x1=scores[paired, 0],
+        x2=scores[paired, 1],
+        subjects=tuple(compress(table.subjects, paired.tolist())),
+    )
     evidence = MeasureEvidence(
         measure_id=contract.measure_id,
         task=contract.task,
         row_count=int(task_rows.size),
         filter_counts=counts,
-        zero_trial_cells=tuple(zero_cells),
-        dropped_subjects=tuple(dropped),
+        zero_trial_cells=zero_cells,
+        dropped_subjects=tuple(compress(table.subjects, dropped.tolist())),
         n_pairs=sample.n,
     )
     return sample, evidence

@@ -216,13 +216,13 @@ def run_cell(
     )
 
 
-def _axis_summary(cells: list[MultiverseCell], key) -> dict:
+def _axis_summary(cells: list[MultiverseCell], levels, key) -> dict:
+    """One row per level of an axis, in grid order, also for a level no
+    cell has; key gives a cell's level as the row's name."""
     by_level: dict[str, dict] = {}
-    levels = sorted({key(c) for c in cells}, key=str)
     for level in levels:
-        members = [c for c in cells if key(c) == level]
-        ok = [c.estimate for c in members if c.estimate.status == STATUS_OK]
-        by_level[str(level)] = {
+        ok = [c.estimate for c in cells if key(c) == level and c.estimate.status == STATUS_OK]
+        by_level[level] = {
             "median_nlr_delta": median_iqr([e.nlr_delta for e in ok])[0],
             "pass_count": sum(e.headline_pass for e in ok),
             "estimable": len(ok),
@@ -231,7 +231,8 @@ def _axis_summary(cells: list[MultiverseCell], key) -> dict:
 
 
 def summarize(cells: list[MultiverseCell]) -> dict:
-    """Marginal table: one row per axis level, plus the grand summary."""
+    """Marginal table: one row per level of each axis of the grid, plus
+    the grand summary."""
     ok = [c.estimate for c in cells if c.estimate.status == STATUS_OK]
     grand_median, grand_iqr = median_iqr([e.nlr_delta for e in ok])
     return {
@@ -246,7 +247,9 @@ def summarize(cells: list[MultiverseCell]) -> dict:
             "median_nlr_delta": grand_median,
             "iqr_nlr_delta": grand_iqr,
         },
-        "by_k": _axis_summary(cells, lambda c: c.spec.k),
-        "by_corr": _axis_summary(cells, lambda c: c.spec.corr_method.value),
-        "by_n_min": _axis_summary(cells, lambda c: c.spec.n_min),
+        "by_k": _axis_summary(cells, map(str, K_GRID), lambda c: str(c.spec.k)),
+        "by_corr": _axis_summary(
+            cells, (m.value for m in CORR_GRID), lambda c: c.spec.corr_method.value
+        ),
+        "by_n_min": _axis_summary(cells, map(str, N_MIN_GRID), lambda c: str(c.spec.n_min)),
     }

@@ -27,7 +27,7 @@ from reliakit import (
     bh_adjust,
     run_measure,
 )
-from reliakit.bootstrap import DEFAULT_LEVEL, bca_interval
+from reliakit.bootstrap import ALPHA, bca_interval
 from reliakit.hashutil import sha256_file
 from reliakit.outputs import (
     INGEST_EVIDENCE_JSON,
@@ -139,8 +139,7 @@ def test_acceptance_06_bca_degeneracy():
     rng = np.random.default_rng(99)
     reps = rng.normal(size=500)
     flat = bca_interval(reps, point=0.0, jackknife=np.full(12, 1.0))
-    alpha = 1.0 - DEFAULT_LEVEL  # bca_interval's default
-    lo, hi = np.quantile(reps, [alpha / 2.0, 1.0 - alpha / 2.0], method="linear")
+    lo, hi = np.quantile(reps, [ALPHA / 2.0, 1.0 - ALPHA / 2.0], method="linear")
     ok = flat.method == "percentile_fallback"
     ok = ok and (flat.ci_low, flat.ci_high) == (float(lo), float(hi))
 

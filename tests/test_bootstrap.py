@@ -19,7 +19,7 @@ from reliakit import (
 from reliakit import bootstrap
 from reliakit.bootstrap import (
     _BLOCK_ELEMENTS,
-    DEFAULT_LEVEL,
+    ALPHA,
     MAX_B,
     bca_interval,
     derive_entropy,
@@ -307,9 +307,6 @@ def test_jackknife_leaves_one_out():
     got = jackknife_values(s, mean_x1)
     want = np.array([15.0, 14.0, 13.0, 6.0]) / 3.0
     assert np.allclose(got, want, atol=1e-15)
-
-
-ALPHA = 1.0 - DEFAULT_LEVEL  # bca_interval's default
 
 
 def test_bca_frozen_oracle_case():

@@ -16,8 +16,9 @@ TABLE_X1 = [9.0, 10.5, 6.0, 12.0, 8.0, 11.0]
 TABLE_X2 = [10.0, 11.0, 7.5, 12.5, 7.0, 12.0]
 
 
-def icc_oracle(x1, x2, variant, level=0.95):
-    """Two-way ANOVA recomputation with explicit loops and scipy quantiles."""
+def icc_oracle(x1, x2, variant):
+    """Two-way ANOVA recomputation with explicit loops and scipy quantiles
+    for the 95% interval."""
     n = len(x1)
     m = 2
     table = np.column_stack([np.asarray(x1, float), np.asarray(x2, float)])
@@ -31,7 +32,7 @@ def icc_oracle(x1, x2, variant, level=0.95):
         for j in range(m):
             sse += (table[i, j] - row_means[i] - col_means[j] + grand) ** 2
     mse = sse / ((n - 1) * (m - 1))
-    q = 1.0 - (1.0 - level) / 2.0
+    q = 1.0 - (1.0 - 0.95) / 2.0
     if variant == "icc_3_1":
         value = (msr - mse) / (msr + (m - 1) * mse)
         f0 = msr / mse
@@ -157,11 +158,8 @@ def test_needs_three_subjects():
         icc(make_sample([1.0, 2.0], [1.0, 2.0]), "icc_2_1")
 
 
-def test_variant_strings_and_level():
+def test_variant_strings():
     s = make_sample(TABLE_X1, TABLE_X2)
-    est = icc(s, "icc_2_1", level=0.90)
-    assert est.level == 0.90
-    wide = icc(s, "icc_2_1", level=0.99)
-    assert wide.ci_low < est.ci_low <= est.ci_high < wide.ci_high
+    assert icc(s, "icc_2_1") == icc(s, IccVariant.TWO_WAY_RANDOM)
     with pytest.raises(ValueError):
         icc(s, "icc_1_1")

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from reliakit import (
     HashMismatchError,
     IngestError,
-    aggregate_scores,
     filter_trials,
-    pair_sessions,
     read_long_csv,
     verify_archive,
 )
@@ -28,6 +26,7 @@ from reliakit.ingest import (
     RT_MIN_MS,
     FilterCounts,
     MeasureEvidence,
+    PairedSample,
     TrialTable,
     build_sample,
 )
@@ -54,10 +53,6 @@ def write_long_csv(path, trials):
 
 def table_of(tmp_path, trials, name="long.csv"):
     return read_long_csv(write_long_csv(tmp_path / name, trials))
-
-
-def all_rows(table):
-    return np.arange(len(table))
 
 
 def contract(measure_id, outcome, condition_a, condition_b=None, unit="ms", task="stroop"):
@@ -349,20 +344,22 @@ def test_filter_empty_input():
     assert keep.size == 0 and counts.total == 0
 
 
-def test_aggregate_mean_rt(tmp_path):
-    recipe = AggregationRecipe(outcome="mean_rt", condition_a="c", condition_b=None, unit="ms")
+def test_build_sample_mean_rt(tmp_path):
     table = table_of(
-        tmp_path, [trial("s1", 1, "c", 400.0), trial("s1", 1, "c", 600.0), trial("s1", 1, "x", 999.0)]
+        tmp_path,
+        [
+            trial("s1", 1, "c", 400.0),
+            trial("s1", 1, "c", 600.0),
+            trial("s1", 1, "x", 999.0),
+            trial("s1", 2, "c", 410.0),
+        ],
     )
-    scores, zero = aggregate_scores(table, all_rows(table), recipe)
-    assert scores == {("s1", 1): 500.0}
-    assert zero == []
+    sample, evidence = build_sample(table, contract("m", "mean_rt", "c"))
+    assert sample.x1.tolist() == [500.0] and sample.x2.tolist() == [410.0]
+    assert evidence.zero_trial_cells == ()
 
 
-def test_aggregate_contrast(tmp_path):
-    recipe = AggregationRecipe(
-        outcome="condition_contrast", condition_a="incongruent", condition_b="congruent", unit="ms"
-    )
+def test_build_sample_contrast(tmp_path):
     table = table_of(
         tmp_path,
         [
@@ -370,46 +367,62 @@ def test_aggregate_contrast(tmp_path):
             trial("s1", 1, "incongruent", 560.0),
             trial("s1", 1, "congruent", 480.0),
             trial("s1", 1, "congruent", 520.0),
+            trial("s1", 2, "incongruent", 560.0),
+            trial("s1", 2, "congruent", 500.0),
         ],
     )
-    scores, _ = aggregate_scores(table, all_rows(table), recipe)
-    assert scores[("s1", 1)] == 50.0
-
-
-def test_aggregate_accuracy_proportion(tmp_path):
-    recipe = AggregationRecipe(
-        outcome="accuracy_proportion", condition_a="c", condition_b=None, unit="proportion"
+    sample, _ = build_sample(
+        table, contract("m", "condition_contrast", "incongruent", "congruent")
     )
-    table = table_of(tmp_path, [trial("s1", 1, "c", 400.0, acc=a) for a in (1, 1, 0, 1)])
-    scores, _ = aggregate_scores(table, all_rows(table), recipe)
-    assert scores[("s1", 1)] == 0.75
+    assert sample.x1.tolist() == [50.0] and sample.x2.tolist() == [60.0]
 
 
-def test_aggregate_zero_trial_cell_recorded(tmp_path):
-    recipe = AggregationRecipe(
-        outcome="condition_contrast", condition_a="incongruent", condition_b="congruent", unit="ms"
+def test_build_sample_accuracy_proportion(tmp_path):
+    table = table_of(
+        tmp_path,
+        [trial("s1", 1, "c", 400.0, acc=a) for a in (1, 1, 0, 1)]
+        + [trial("s1", 2, "c", 400.0, acc=a) for a in (0, 1)],
     )
+    sample, _ = build_sample(table, contract("m", "accuracy_proportion", "c", unit="proportion"))
+    assert sample.x1.tolist() == [0.75] and sample.x2.tolist() == [0.5]
+
+
+def test_build_sample_zero_trial_cells(tmp_path):
     table = table_of(
         tmp_path,
         [
             trial("s1", 1, "congruent", 480.0),
             trial("s1", 2, "congruent", 500.0),
             trial("s1", 2, "incongruent", 550.0),
+            trial("s2", 1, "incongruent", 450.0),
+            trial("s2", 2, "x", 470.0),
+            trial("s3", 1, "congruent", 400.0),
+            trial("s3", 1, "incongruent", 420.0),
+            trial("s3", 2, "congruent", 410.0),
+            trial("s3", 2, "incongruent", 440.0),
         ],
     )
-    scores, zero = aggregate_scores(table, all_rows(table), recipe)
-    assert ("s1", 1) not in scores
-    assert ("s1", 2) in scores
-    assert zero == ["s1/s1/incongruent"]
-
-
-def test_aggregate_missing_accuracy_errors(tmp_path):
-    recipe = AggregationRecipe(
-        outcome="accuracy_proportion", condition_a="c", condition_b=None, unit="proportion"
+    sample, evidence = build_sample(
+        table, contract("m", "condition_contrast", "incongruent", "congruent")
     )
-    table = table_of(tmp_path, [trial("s1", 1, "c", 400.0, acc=None)])
+    # a cell is named by the first wanted condition it lacks, in cell order;
+    # s2 has no scored cell, so it is not a dropped subject
+    assert evidence.zero_trial_cells == (
+        "s1/s1/incongruent",
+        "s2/s1/congruent",
+        "s2/s2/incongruent",
+    )
+    assert evidence.dropped_subjects == ("s1",)
+    assert sample.subjects == ("s3",)
+    assert sample.x1.tolist() == [20.0] and sample.x2.tolist() == [30.0]
+
+
+def test_build_sample_missing_accuracy_errors(tmp_path):
+    table = table_of(
+        tmp_path, [trial("s1", 1, "c", 400.0, acc=None), trial("s1", 2, "c", 400.0, acc=1)]
+    )
     with pytest.raises(IngestError) as err:
-        aggregate_scores(table, all_rows(table), recipe)
+        build_sample(table, contract("m", "accuracy_proportion", "c", unit="proportion"))
     assert str(err.value) == (
         "accuracy outcome requested but accuracy column is empty for condition 'c'"
     )
@@ -429,18 +442,22 @@ def test_empty_accuracy_only_fails_when_a_proportion_is_scored(tmp_path):
         build_sample(table, contract("acc", "condition_contrast", "z", "b", unit="proportion"))
 
 
-def test_aggregate_is_trial_order_invariant(tmp_path):
-    recipe = AggregationRecipe(outcome="mean_rt", condition_a="c", condition_b=None, unit="ms")
-    trials = [trial("s1", 1, "c", rt) for rt in (410.0, 390.0, 455.0, 505.0)]
-    forward_table = table_of(tmp_path, trials, "forward.csv")
-    backward_table = table_of(tmp_path, trials[::-1], "backward.csv")
-    forward, _ = aggregate_scores(forward_table, all_rows(forward_table), recipe)
-    backward, _ = aggregate_scores(backward_table, all_rows(backward_table), recipe)
-    assert forward == backward
+def test_build_sample_is_trial_order_invariant(tmp_path):
+    trials = [
+        trial("s1", session, "c", rt)
+        for session in (1, 2)
+        for rt in (410.0, 390.0, 455.0, 505.0 + session / 3)
+    ]
+    forward, _ = build_sample(table_of(tmp_path, trials, "forward.csv"), contract("m", "mean_rt", "c"))
+    backward, _ = build_sample(
+        table_of(tmp_path, trials[::-1], "backward.csv"), contract("m", "mean_rt", "c")
+    )
+    assert forward.x1.tobytes() == backward.x1.tobytes()
+    assert forward.x2.tobytes() == backward.x2.tobytes()
 
 
 def _per_cell_scores(table, rows, recipe):
-    """aggregate_scores one cell at a time: each (subject, session) in
+    """The cell scores one cell at a time: each (subject, session) in
     sorted order, each wanted condition's trials in file order, one 1-d
     np.mean per condition."""
     wanted = [recipe.condition_a] + ([recipe.condition_b] if recipe.condition_b else [])
@@ -464,7 +481,19 @@ def _per_cell_scores(table, rows, recipe):
     return scores, zero
 
 
-def test_grouped_means_equal_the_per_cell_loop_on_ragged_cells(tmp_path):
+def pair_scores(scores):
+    """Pair each subject's session-1 and session-2 score from a
+    {(subject, session): score} dict, subjects in sorted order; a subject
+    with one score is dropped. Returns (subjects, x1, x2, dropped)."""
+    subjects = sorted({subject for subject, _ in scores})
+    kept = [s for s in subjects if (s, 1) in scores and (s, 2) in scores]
+    dropped = [s for s in subjects if s not in kept]
+    x1 = [scores[(s, 1)] for s in kept]
+    x2 = [scores[(s, 2)] for s in kept]
+    return tuple(kept), x1, x2, tuple(dropped)
+
+
+def test_build_sample_equals_the_per_cell_loop_on_ragged_cells(tmp_path):
     # the smoke fixture's cells hold different trial counts per condition,
     # and some conditions none; every score must carry the same bits
     from reliakit.fixtures import ensure_smoke_workspace
@@ -476,46 +505,74 @@ def test_grouped_means_equal_the_per_cell_loop_on_ragged_cells(tmp_path):
     for measure in load_contract(ws / "contracts" / "measures.json").entries:
         rows = np.flatnonzero(table.task == table.tasks.index(measure.task))
         rows = rows[filter_trials(table.rt_ms[rows])[0]]
-        got, got_zero = aggregate_scores(table, rows, measure.aggregation)
-        want, want_zero = _per_cell_scores(table, rows.tolist(), measure.aggregation)
-        assert got_zero == want_zero
-        assert [(key, value.hex()) for key, value in got.items()] == [
-            (key, value.hex()) for key, value in want.items()
-        ]
+        scores, zero = _per_cell_scores(table, rows.tolist(), measure.aggregation)
+        subjects, x1, x2, dropped = pair_scores(scores)
+        sample, evidence = build_sample(table, measure)
+        assert evidence.zero_trial_cells == tuple(zero)
+        assert (sample.subjects, evidence.dropped_subjects) == (subjects, dropped)
+        assert [v.hex() for v in sample.x1.tolist()] == [v.hex() for v in x1]
+        assert [v.hex() for v in sample.x2.tolist()] == [v.hex() for v in x2]
         key = table.subject[rows].astype(np.int64) * 2 * len(table.conditions)
         key += (table.session[rows] - 1) * len(table.conditions) + table.condition[rows]
         counts |= set(np.unique(key, return_counts=True)[1].tolist())
     assert len(counts) > 1
 
 
-def test_pair_sessions_drops_incomplete_subjects():
-    scores = {("A", 1): 10.0, ("A", 2): 12.0, ("B", 1): 9.0}
-    sample, dropped = pair_sessions(scores, "m")
-    assert sample.n == 1
+def test_smoke_fixture_ingest_facts(tmp_path):
+    # the fixture's documented paths: a24 never returns for session 2, and
+    # a23 has no incongruent trials at session 2
+    from reliakit.fixtures import ensure_smoke_workspace
+    from reliakit.registry import load_contract
+
+    ws = ensure_smoke_workspace(tmp_path / "ws")
+    table = read_long_csv(ws / "data" / "processed" / "long.csv")
+    registry = load_contract(ws / "contracts" / "measures.json")
+    evidence = {m.measure_id: build_sample(table, m)[1] for m in registry.primary_measures()}
+    assert {m: e.n_pairs for m, e in evidence.items()} == {
+        "taskA_meanrt": 23,
+        "taskA_contrast": 22,
+        "taskA_accuracy": 22,
+        "taskB_meanrt": 20,
+        "taskB_accuracy": 20,
+        "taskC_meanrt": 12,
+    }
+    assert evidence["taskA_meanrt"].dropped_subjects == ("a24",)
+    for measure_id in ("taskA_contrast", "taskA_accuracy"):
+        assert evidence[measure_id].zero_trial_cells == ("a23/s2/incongruent",)
+        assert evidence[measure_id].dropped_subjects == ("a23", "a24")
+    for measure_id in ("taskA_meanrt", "taskB_meanrt", "taskB_accuracy", "taskC_meanrt"):
+        assert evidence[measure_id].zero_trial_cells == ()
+    for measure_id in ("taskB_meanrt", "taskB_accuracy", "taskC_meanrt"):
+        assert evidence[measure_id].dropped_subjects == ()
+
+
+def test_build_sample_drops_incomplete_subjects(tmp_path):
+    table = table_of(
+        tmp_path, [trial("A", 1, "c", 410.0), trial("A", 2, "c", 412.0), trial("B", 1, "c", 409.0)]
+    )
+    sample, evidence = build_sample(table, contract("m", "mean_rt", "c"))
+    assert sample.n == 1 and evidence.n_pairs == 1
     assert sample.subjects == ("A",)
-    assert sample.x1[0] == 10.0 and sample.x2[0] == 12.0
-    assert dropped == ["B"]
+    assert sample.x1[0] == 410.0 and sample.x2[0] == 412.0
+    assert evidence.dropped_subjects == ("B",)
 
 
-def test_pair_sessions_sorted_by_subject():
-    scores = {}
-    for s in ("zeta", "alpha", "mid"):
-        scores[(s, 1)] = 1.0
-        scores[(s, 2)] = 2.0
-    sample, _ = pair_sessions(scores, "m")
+def test_build_sample_sorts_subjects(tmp_path):
+    trials = [
+        trial(s, session, "c", rt + session)
+        for s, rt in (("zeta", 400.0), ("alpha", 500.0), ("mid", 600.0))
+        for session in (1, 2)
+    ]
+    sample, _ = build_sample(table_of(tmp_path, trials), contract("m", "mean_rt", "c"))
     assert sample.subjects == ("alpha", "mid", "zeta")
+    assert sample.x1.tolist() == [501.0, 601.0, 401.0]
+    assert sample.x2.tolist() == [502.0, 602.0, 402.0]
 
 
-def test_pair_sessions_empty():
-    sample, dropped = pair_sessions({}, "m")
-    assert sample.n == 0 and dropped == []
-
-
-def test_pair_sessions_drops_nonfinite():
-    scores = {("A", 1): float("nan"), ("A", 2): 1.0, ("B", 1): 2.0, ("B", 2): 3.0}
-    sample, dropped = pair_sessions(scores, "m")
-    assert sample.subjects == ("B",)
-    assert dropped == ["A"]
+def test_build_sample_empty_table(tmp_path):
+    sample, evidence = build_sample(table_of(tmp_path, []), contract("m", "mean_rt", "c"))
+    assert sample.n == 0 and sample.subjects == ()
+    assert evidence.zero_trial_cells == () and evidence.dropped_subjects == ()
 
 
 def test_build_sample_end_to_end(tmp_path):
@@ -549,7 +606,7 @@ def test_build_sample_unknown_task_is_empty(tmp_path):
 def reference_sample(trials, contract):
     """One row at a time: select the task, filter, group (subject, session)
     in file order, average each condition cell with np.mean over a list,
-    then pair sessions."""
+    then pair sessions with pair_scores."""
     recipe = contract.aggregation
     task_rows = [t for t in trials if t[1] == contract.task]
     kept = []
@@ -596,14 +653,17 @@ def reference_sample(trials, contract):
                 zero_cells.append(f"{subject}/s{session}/{recipe.condition_a}")
                 continue
             scores[key] = a
-    sample, dropped = pair_sessions(scores, contract.measure_id)
+    subjects, x1, x2, dropped = pair_scores(scores)
+    sample = PairedSample(
+        contract.measure_id, np.array(x1, dtype=np.float64), np.array(x2, dtype=np.float64), subjects
+    )
     evidence = MeasureEvidence(
         measure_id=contract.measure_id,
         task=contract.task,
         row_count=len(task_rows),
         filter_counts=FilterCounts(below_min=below, above_max=above, kept=len(kept)),
         zero_trial_cells=tuple(zero_cells),
-        dropped_subjects=tuple(dropped),
+        dropped_subjects=dropped,
         n_pairs=sample.n,
     )
     return sample, evidence

@@ -33,6 +33,7 @@ from reliakit.inference import (
     headline_pass,
 )
 from reliakit.multiverse import CORR_GRID, K_GRID, MultiverseCell, run_measure
+from reliakit.outputs import MULTIVERSE_SUMMARY_SCHEMA, check_json
 
 from conftest import gauss_pairs, make_sample
 
@@ -250,15 +251,24 @@ def test_summarize_empty_and_all_insufficient():
     assert summary["by_k"]["3"]["median_nlr_delta"] is None
 
 
-def oracle_bootstrap(sample, statistic, b, entropy, level=0.95):
+def test_summarize_lists_every_grid_level_without_cells():
+    summary = summarize([])
+    check_json(summary, MULTIVERSE_SUMMARY_SCHEMA, "multiverse_summary.json")
+    empty = {"median_nlr_delta": None, "pass_count": 0, "estimable": 0}
+    assert summary["by_k"] == dict.fromkeys(["3", "4", "5", "6"], empty)
+    assert summary["by_corr"] == dict.fromkeys(["pearson", "spearman"], empty)
+    assert summary["by_n_min"] == dict.fromkeys(["10", "15", "20"], empty)
+
+
+def oracle_bootstrap(sample, statistic, b, entropy):
     """The bootstrap as a self-contained sequence: point, replicates,
-    jackknife, BCa interval at alpha = 1 - level, p."""
+    jackknife, BCa interval, p."""
     point = float(statistic(sample.x1[None], sample.x2[None])[0])
     if not np.isfinite(point):
         raise BootstrapFailureError("undefined point")
     replicates, _ = resample_statistic(sample, statistic, b, entropy)
     jack = jackknife_values(sample, statistic)
-    interval = bca_interval(replicates, point, jack, alpha=1.0 - level)
+    interval = bca_interval(replicates, point, jack)
     return point, interval, one_sided_p(replicates)
 
 
