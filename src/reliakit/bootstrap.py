@@ -53,6 +53,7 @@ import numpy.ma
 from .errors import BootstrapFailureError
 from .ingest import PairedSample
 from .special import ndtr, ndtri
+from .wideint import mulhi64
 
 LEVEL = 0.95
 # 0.05000000000000004, not 0.05: the alpha every written interval was built at
@@ -175,19 +176,9 @@ def _jump_table(outputs: int):
     return _split128(powers), _split128(sums)
 
 
-def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit products of uint64 arrays."""
-    a_lo, a_hi = a & _MASK32, a >> 32
-    b_lo, b_hi = b & _MASK32, b >> 32
-    t = a_lo * b_lo
-    u = a_hi * b_lo + (t >> 32)
-    v = a_lo * b_hi + (u & _MASK32)
-    return a_hi * b_hi + (u >> 32) + (v >> 32)
-
-
 def _mul128(x_hi, x_lo, y_hi, y_lo):
     """(hi, lo) of x * y mod 2**128."""
-    return _mulhi64(x_lo, y_lo) + x_lo * y_hi + x_hi * y_lo, x_lo * y_lo
+    return mulhi64(x_lo, y_lo) + x_lo * y_hi + x_hi * y_lo, x_lo * y_lo
 
 
 def _add128(x_hi, x_lo, y_hi, y_lo):

@@ -8,8 +8,9 @@ build_sample turns those columns into each measure's PairedSample in one
 columnar pass: it keeps the task's trials within [RT_MIN_MS, RT_MAX_MS],
 scores each (subject, session) cell from its condition means, and pairs
 the two sessions of each subject. A cell with no trials of a wanted
-condition is a zero-trial cell and is not scored; a subject left with one
-scored cell is dropped. Both are recorded in the MeasureEvidence.
+condition is a zero-trial cell and is not scored; a subject with rows in
+the task that is left without two scored cells is dropped. Both are
+recorded in the MeasureEvidence.
 
 csv.reader with the default dialect defines the table's format. Most
 tables are plain, though: no quotes, no carriage returns, six fields on
@@ -19,6 +20,12 @@ pass over its bytes and codes each column by its distinct byte strings. It
 hands the rest of the file to csv.reader at the first chunk that is not
 plain, or that the byte path cannot parse (a wide field, an rt_ms that
 float() parses only from a str, a bad value).
+
+rt_ms is the correctly rounded double of each field, equal to Python
+float() of it. On the byte path a numpy kernel reads the fields of 1 to 19
+ASCII digits with at most one '.' (Clinger's fast path, then Eisel and
+Lemire's algorithm), and float() reads every other field and the few the
+kernel cannot round.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import numpy as np
 from .errors import HashMismatchError, IngestError
 from .hashutil import sha256_file
 from .registry import MeasureContract
+from .wideint import mulhi64
 
 RT_MIN_MS = 200.0
 RT_MAX_MS = 5000.0
@@ -276,7 +284,7 @@ def _parse_rt(values: Sequence[str | bytes]) -> np.ndarray | None:
 
 
 # per column of LONG_CSV_COLUMNS: the parser of its distinct strings, or
-# None for rt_ms, which is parsed value by value
+# None for rt_ms, which is read value by value (_parse_rt, _rt_from_bytes)
 _PARSERS = (_parse_identifier, _parse_identifier, _parse_session, _parse_identifier, None, _parse_accuracy)
 
 
@@ -310,6 +318,56 @@ _WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=_LE_WORD)
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 # which of a plain line's six field ends is its newline
 _LINE_END = np.arange(len(LONG_CSV_COLUMNS)) == len(LONG_CSV_COLUMNS) - 1
+
+# The decimal kernel reads an rt_ms field of 1 to _MAX_DECIMAL_BYTES ASCII
+# digits with at most one '.', so its digits make an integer w < 10**19 <
+# 2**64, from the window of three little-endian 8-byte words that ends at
+# the field's end. A chunk is read with _WINDOW_BYTES zero bytes before it,
+# so every field has a whole window, whose first byte is never the field's.
+_MAX_DECIMAL_BYTES = 19
+_WINDOW_BYTES = 24
+_WINDOW = np.dtype(f"V{_WINDOW_BYTES}")
+
+
+def _every_byte(value: int) -> int:
+    return value * 0x0101010101010101
+
+
+def _window_masks(masks: Iterable[int]) -> np.ndarray:
+    return np.frombuffer(b"".join(m.to_bytes(_WINDOW_BYTES, "little") for m in masks), _WINDOW)
+
+
+_ZEROS = _every_byte(ord("0"))
+_LOW7 = _every_byte(0x7F)
+_HIGH_BITS = _every_byte(0x80)
+# added to a byte below 0x80, sets its bit 7 exactly when the byte is >= 10
+_TENS = _every_byte(0x80 - 10)
+_DOT = _every_byte(ord(".") ^ ord("0"))
+# multiplied by a word of 0/1 bytes, puts byte k's bit at bit 56 + k
+_MOVEMASK = 0x0102040810204080
+# _FIELD_BYTES[n] keeps the last min(n, 24) bytes of a window, for a field
+# of n <= _MAX_FIELD_BYTES bytes
+_FIELD_BYTES = _window_masks(
+    (1 << 8 * min(n, _WINDOW_BYTES)) - 1 << 8 * (_WINDOW_BYTES - min(n, _WINDOW_BYTES))
+    for n in range(_MAX_FIELD_BYTES + 1)
+)
+# _BEFORE_DOT[q] holds bytes 1 to q of a window, each of which takes the byte
+# before it when a dot at byte q is removed; q = 32 means no dot
+_BEFORE_DOT = _window_masks(
+    (1 << 8 * q + 8) - 256 if q < _WINDOW_BYTES else 0 for q in range(33)
+)
+_POW10 = np.array([float(10**f) for f in range(_MAX_DECIMAL_BYTES)])
+# 5**-f to 128 bits, truncated: floor(2**(127 + ceil(log2 5**f)) / 5**f),
+# whose top bit is set, split into its high and low 64 bits
+_POW5 = [(1 << 127 + (5**f - 1).bit_length()) // 5**f for f in range(_MAX_DECIMAL_BYTES)]
+_POW5_HI = np.array([m >> 64 for m in _POW5], dtype=np.uint64)
+_POW5_LO = np.array([m & (1 << 64) - 1 for m in _POW5], dtype=np.uint64)
+# 1085 - ceil(log2 10**f): with the product's top bit and the shift that
+# normalized w, the biased exponent less one of w / 10**f
+_POW5_EXPONENT = np.array(
+    [1085 - (10**f - 1).bit_length() for f in range(_MAX_DECIMAL_BYTES)], dtype=np.uint64
+)
+_LOW9 = 0x1FF
 
 
 def _line_chunks(fh: BinaryIO) -> Iterator[bytes]:
@@ -385,6 +443,125 @@ def _code_words(
     return None if codes is None else np.array(codes, dtype=np.int32)[inverse]
 
 
+def _words(windows: np.ndarray) -> np.ndarray:
+    return windows.view(_LE_WORD).reshape(-1, 3)
+
+
+def _eight_digits(x: np.ndarray) -> np.ndarray:
+    """The integer of the eight digits 0-9 in the bytes of each word, first
+    byte first (SWAR: pairs, then quads, then all eight)."""
+    x = (x & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+    x = (x & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    return (x & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+
+
+def _decimal_digits(
+    windows: np.ndarray, ends: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, fraction, taken) of the fields that end at `ends`: w is the
+    integer of a field's digits and fraction the number of digits after its
+    dot, so the field reads w / 10**fraction. `taken` marks the fields of 1
+    to _MAX_DECIMAL_BYTES bytes that are ASCII digits with at most one '.'
+    and at least one digit; w and fraction mean nothing elsewhere. No
+    length may exceed _MAX_FIELD_BYTES. Every step works on whole words,
+    none on single bytes."""
+    x = _words(windows[ends - _WINDOW_BYTES])
+    x ^= _ZEROS  # a digit becomes 0-9, and '.' becomes _DOT's byte
+    x &= _words(_FIELD_BYTES[lengths])  # the bytes before the field become 0
+    flags = ((((x & _LOW7) + _TENS) | x) & _HIGH_BITS) >> 7  # 1 in each byte not a digit
+    strays = (x ^ _DOT) & flags * 0xFF  # not 0 where such a byte is not a dot
+    marks = (flags * _MOVEMASK >> 56).astype(np.uint32)
+    dots = marks[:, 0] | marks[:, 1] << 8 | marks[:, 2] << 16  # bit q: byte q is not a digit
+    count = np.bitwise_count(dots)
+    taken = (
+        ((strays[:, 0] | strays[:, 1] | strays[:, 2]) == 0)
+        & (count <= 1)
+        & (lengths > count)
+        & (lengths <= _MAX_DECIMAL_BYTES)
+    )
+    at = np.bitwise_count(dots - 1).astype(np.intp)  # the dot's byte, or 32
+    # close the dot's gap: each byte before it moves one place on; the
+    # carry into a window's first word comes from the row before it, and
+    # _BEFORE_DOT never takes it
+    moved = x << 8
+    moved.reshape(-1)[1:] |= x.reshape(-1)[:-1] >> 56
+    x ^= (x ^ moved) & _words(_BEFORE_DOT[at])
+    c = _eight_digits(x)
+    w = (c[:, 0] * 100_000_000 + c[:, 1]) * 100_000_000 + c[:, 2]
+    return w, (_WINDOW_BYTES - 1 - at) * count, taken
+
+
+def _eisel_lemire(w: np.ndarray, fraction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, exact): w / 10**fraction rounded to the nearest double, for
+    2**53 < w < 2**64 and fraction <= 18, by Eisel and Lemire's algorithm
+    (Lemire, "Number Parsing at a Gigabyte per Second", 2021; as Go's
+    strconv.eiselLemire64). `exact` is False where the algorithm bails out
+    because the truncated products cannot settle the rounding."""
+    # w's top bit; the conversion may round up to the next power of two
+    top = (w.astype(np.float64).view(np.uint64) >> 52) - 1023
+    top -= (w >> top) == 0
+    shift = 63 - top
+    man = w << shift
+    hi = _POW5_HI[fraction]
+    x_hi, x_lo = mulhi64(man, hi), man * hi
+    exact = np.ones(w.size, dtype=bool)
+    # the low 64 bits of 5**-fraction can carry into the bits kept below
+    # only where these are all ones: add their product there
+    wide = np.flatnonzero(((x_hi & _LOW9) == _LOW9) & (x_lo + man < man))
+    man_w, lo = man[wide], _POW5_LO[fraction[wide]]
+    y_hi, y_lo = mulhi64(man_w, lo), man_w * lo
+    merged_lo = x_lo[wide] + y_hi
+    merged_hi = x_hi[wide] + (merged_lo < y_hi)
+    exact[wide] = ~(
+        ((merged_hi & _LOW9) == _LOW9) & (merged_lo + 1 == 0) & (y_lo + man_w < man_w)
+    )
+    x_hi[wide], x_lo[wide] = merged_hi, merged_lo
+    upper = x_hi >> 63
+    mantissa = x_hi >> upper + 9  # 54 bits
+    # an exact product halfway between two doubles: round to even is unknown
+    exact &= (x_lo != 0) | ((x_hi & _LOW9) != 0) | ((mantissa & 3) != 1)
+    # adding the rounded 53-bit mantissa with its leading bit, or 2**53
+    # where rounding carries out, to the exponent less one makes the double
+    exponent = _POW5_EXPONENT[fraction] + upper - shift
+    bits = (exponent << 52) + (mantissa + (mantissa & 1) >> 1)
+    return bits.view(np.float64), exact
+
+
+def _read_decimals(
+    windows: np.ndarray, ends: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, taken): float() of each field that ends at `ends`, bit for
+    bit, where `taken`. A field is taken when _decimal_digits takes it and
+    its w / 10**fraction is either Clinger's fast case, w <= 2**53, which is
+    one correctly rounded division of two exact doubles (Clinger, "How to
+    Read Floating Point Numbers Accurately", 1990), or one that
+    _eisel_lemire rounds without bailing out."""
+    w, fraction, taken = _decimal_digits(windows, ends, lengths)
+    values = np.zeros(w.size)
+    small = w <= 1 << 53
+    clinger = np.flatnonzero(taken & small)
+    values[clinger] = w[clinger].astype(np.float64) / _POW10[fraction[clinger]]
+    lemire = np.flatnonzero(taken & ~small)
+    values[lemire], taken[lemire] = _eisel_lemire(w[lemire], fraction[lemire])
+    return values, taken
+
+
+def _rt_from_bytes(padded: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The rt_ms column of a plain chunk, with _parse_rt's values and
+    checks: the decimal kernel's value where _read_decimals takes a field,
+    float() of its bytes elsewhere. A taken field is digits and a dot, so
+    its value is finite and >= 0."""
+    windows = np.ndarray((len(padded) - _WINDOW_BYTES + 1,), _WINDOW, padded, strides=(1,))
+    rt, taken = _read_decimals(windows, starts + lengths, lengths)
+    rest = np.flatnonzero(~taken)
+    fields = [padded[s : s + n] for s, n in zip(starts[rest].tolist(), lengths[rest].tolist())]
+    parsed = _parse_rt(fields)
+    if parsed is None:
+        return None
+    rt[rest] = parsed
+    return rt
+
+
 def _byte_columns(
     data: bytes, starts: np.ndarray, lengths: np.ndarray, levels: list[dict[str, int]]
 ) -> list[np.ndarray] | None:
@@ -393,20 +570,22 @@ def _byte_columns(
     its check, on a hash collision, or when it would need str semantics:
     float() takes Unicode digits and spaces only from a str. Identifiers,
     session and accuracy are coded by their distinct byte strings, each
-    decoded and parsed once; rt_ms is Python float() of each field's bytes.
-    Plain fields hold no NUL, so a field's zero-padded words give back its
-    bytes."""
+    decoded and parsed once. rt_ms is the correctly rounded double of each
+    field, equal to Python float() of its bytes: the decimal kernel
+    (_read_decimals) reads fields of up to _MAX_DECIMAL_BYTES ASCII digits
+    with at most one '.', and float() reads the rest. Plain fields hold no
+    NUL, so a field's zero-padded words give back its bytes."""
     if lengths.max() > _MAX_FIELD_BYTES:
         return None
-    padded = data + bytes(_MAX_FIELD_BYTES)
+    padded = bytes(_WINDOW_BYTES) + data + bytes(_MAX_FIELD_BYTES)
+    starts = starts + _WINDOW_BYTES
     words = np.ndarray((len(padded) - 7,), dtype=_LE_WORD, buffer=padded, strides=(1,))
     parts = []
     for column, (seen, parse) in enumerate(zip(levels, _PARSERS)):
-        rows = _field_words(words, starts[:, column], lengths[:, column])
         if parse is None:
-            part = _parse_rt(rows.view(f"S{rows.shape[1] * 8}").ravel().tolist())
+            part = _rt_from_bytes(padded, starts[:, column], lengths[:, column])
         else:
-            part = _code_words(rows, seen, parse)
+            part = _code_words(_field_words(words, starts[:, column], lengths[:, column]), seen, parse)
         if part is None:
             return None
         parts.append(part)
@@ -502,7 +681,10 @@ def read_long_csv(path: str | Path) -> TrialTable:
     of _CHUNK_ROWS lines. While the chunks are plain (see _plain_fields),
     each is parsed from its bytes: one numpy pass finds its commas and
     newlines, identifiers, session and accuracy are coded by their distinct
-    byte strings, and rt_ms is Python float() of each field. From any other
+    byte strings, and rt_ms is the correctly rounded double of each field,
+    equal to Python float() of it: the decimal kernel (_read_decimals)
+    reads fields of 1 to 19 ASCII digits with at most one '.', and float()
+    of the bytes reads the rest. From any other
     header, or from the first chunk that is not plain or that the byte path
     cannot parse (a field longer than _MAX_FIELD_BYTES, an rt_ms that only
     a str parses, a bad value), on, csv.reader reads the rest, so quoted
@@ -569,7 +751,9 @@ def build_sample(
     contrast. A cell with no trials of a wanted condition is a zero-trial
     cell, named by the first such condition, and is not scored. Subject
     codes are ranks in sorted() order, so the pairs come out sorted by
-    subject; a subject with one scored cell is dropped."""
+    subject; a subject with a row in the task that is not paired (one
+    scored cell, or none, as when the filter drops all its trials) is
+    dropped."""
     recipe = contract.aggregation
     task_rows = np.flatnonzero(table.task == _code(table.tasks, contract.task))
     keep, counts = filter_trials(table.rt_ms[task_rows])
@@ -622,7 +806,9 @@ def build_sample(
     )
     scored.reshape(-1)[cells[complete]] = True
     paired = scored.all(axis=1)
-    dropped = scored.any(axis=1) & ~paired
+    dropped = np.zeros(len(table.subjects), dtype=bool)
+    dropped[table.subject[task_rows]] = True
+    dropped &= ~paired
     sample = PairedSample(
         measure_id=contract.measure_id,
         x1=scores[paired, 0],

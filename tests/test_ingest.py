@@ -406,13 +406,13 @@ def test_build_sample_zero_trial_cells(tmp_path):
         table, contract("m", "condition_contrast", "incongruent", "congruent")
     )
     # a cell is named by the first wanted condition it lacks, in cell order;
-    # s2 has no scored cell, so it is not a dropped subject
+    # s2 has rows in the task but no scored cell, so it is dropped too
     assert evidence.zero_trial_cells == (
         "s1/s1/incongruent",
         "s2/s1/congruent",
         "s2/s2/incongruent",
     )
-    assert evidence.dropped_subjects == ("s1",)
+    assert evidence.dropped_subjects == ("s1", "s2")
     assert sample.subjects == ("s3",)
     assert sample.x1.tolist() == [20.0] and sample.x2.tolist() == [30.0]
 
@@ -481,13 +481,14 @@ def _per_cell_scores(table, rows, recipe):
     return scores, zero
 
 
-def pair_scores(scores):
+def pair_scores(scores, present):
     """Pair each subject's session-1 and session-2 score from a
     {(subject, session): score} dict, subjects in sorted order; a subject
-    with one score is dropped. Returns (subjects, x1, x2, dropped)."""
+    of `present`, those with a row in the task, that is not paired is
+    dropped. Returns (subjects, x1, x2, dropped)."""
     subjects = sorted({subject for subject, _ in scores})
     kept = [s for s in subjects if (s, 1) in scores and (s, 2) in scores]
-    dropped = [s for s in subjects if s not in kept]
+    dropped = sorted(set(present) - set(kept))
     x1 = [scores[(s, 1)] for s in kept]
     x2 = [scores[(s, 2)] for s in kept]
     return tuple(kept), x1, x2, tuple(dropped)
@@ -504,9 +505,10 @@ def test_build_sample_equals_the_per_cell_loop_on_ragged_cells(tmp_path):
     counts = set()
     for measure in load_contract(ws / "contracts" / "measures.json").entries:
         rows = np.flatnonzero(table.task == table.tasks.index(measure.task))
+        present = [table.subjects[code] for code in table.subject[rows].tolist()]
         rows = rows[filter_trials(table.rt_ms[rows])[0]]
         scores, zero = _per_cell_scores(table, rows.tolist(), measure.aggregation)
-        subjects, x1, x2, dropped = pair_scores(scores)
+        subjects, x1, x2, dropped = pair_scores(scores, present)
         sample, evidence = build_sample(table, measure)
         assert evidence.zero_trial_cells == tuple(zero)
         assert (sample.subjects, evidence.dropped_subjects) == (subjects, dropped)
@@ -555,6 +557,21 @@ def test_build_sample_drops_incomplete_subjects(tmp_path):
     assert sample.subjects == ("A",)
     assert sample.x1[0] == 410.0 and sample.x2[0] == 412.0
     assert evidence.dropped_subjects == ("B",)
+
+
+def test_build_sample_drops_a_subject_the_filter_empties(tmp_path):
+    """A subject whose every trial in the task is outside [RT_MIN_MS,
+    RT_MAX_MS] has no cell, and it is a dropped subject."""
+    trials = [
+        trial(subject, session, "c", 150.0 if subject == "s2" else 400.0 + session)
+        for subject in ("s1", "s2", "s3")
+        for session in (1, 2)
+    ]
+    sample, evidence = build_sample(table_of(tmp_path, trials), contract("m", "mean_rt", "c"))
+    assert sample.subjects == ("s1", "s3")
+    assert evidence.dropped_subjects == ("s2",)
+    assert evidence.zero_trial_cells == ()
+    assert evidence.filter_counts == FilterCounts(below_min=2, above_max=0, kept=4)
 
 
 def test_build_sample_sorts_subjects(tmp_path):
@@ -653,7 +670,7 @@ def reference_sample(trials, contract):
                 zero_cells.append(f"{subject}/s{session}/{recipe.condition_a}")
                 continue
             scores[key] = a
-    subjects, x1, x2, dropped = pair_scores(scores)
+    subjects, x1, x2, dropped = pair_scores(scores, [row[0] for row in task_rows])
     sample = PairedSample(
         contract.measure_id, np.array(x1, dtype=np.float64), np.array(x2, dtype=np.float64), subjects
     )
@@ -794,7 +811,11 @@ GOOD_FIELDS = (
     ["1", "2", " 2", "+1", "01", "2 "],
     ["a", "b", "b ", "\x1c", "\x85", "条件条件"],
     ["400", " 400", "1_000", "4e2", "0.1", "612.5 ", "0", "5000.01"]
-    + ["٤٠٠", "４００", "\u2003400", "\x85400"],
+    + ["٤٠٠", "４００", "\u2003400", "\x85400"]
+    # the decimal kernel: '%.17g' (Eisel-Lemire), its second product and
+    # its bail-outs, short decimals (Clinger), 19 and 20 digits
+    + ["612.29999999999995", "625728.54911079054", "98708202720059.50", "9007199254740993"]
+    + ["5.", ".5", "007.50", "1234567890123456789", "12345678901234567890"],
     ["", "", "0", "1", " 1", "1 "],
 )
 BAD_FIELDS = (
@@ -926,6 +947,56 @@ def test_plain_table_is_read_from_bytes(tmp_path, monkeypatch):
     assert_same_table(table, csv_reader_long_csv(path))
 
 
+@pytest.mark.parametrize("refused", ["4e2", "+400"])
+def test_a_field_the_decimal_kernel_refuses_stays_on_the_byte_path(tmp_path, refused):
+    """float() reads a field the kernel does not take from its bytes, and
+    its chunk is not handed to csv.reader."""
+    lines = [f"s{i % 7},t,{1 + i % 2},c,{'%.17g' % (300 + i / 7)},1" for i in range(3000)]
+    lines[1234] = f"s1,t,1,c,{refused},1"
+    path = tmp_path / "long.csv"
+    path.write_text(HEADER + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    table, reader_calls, handed_over = read_counting_csv_reader(path)
+    assert (reader_calls, handed_over) == (1, None)
+    assert table.rt_ms[1234] == 400.0
+    assert_same_table(table, csv_reader_long_csv(path))
+
+
+def take_no_field(windows, ends, lengths):
+    return np.zeros(ends.size), np.zeros(ends.size, dtype=bool)
+
+
+def test_decimal_kernel_leaves_every_table_bit_as_float_reads_it(tmp_path, monkeypatch):
+    """With the kernel taking no field, float() reads every rt_ms field; the
+    tables are the same bytes, on the smoke fixture and on a 20k-row table
+    of '%.17g' values, nearly all of which the kernel takes."""
+    from reliakit.fixtures import ensure_smoke_workspace
+
+    rng = np.random.default_rng(20)
+    rts = np.exp(rng.normal(6.3, 0.5, 20_000)).tolist()
+    generated = tmp_path / "long.csv"
+    generated.write_text(
+        HEADER
+        + "\n"
+        + "".join(f"s{i % 40:03d},t,{1 + i % 2},c{i % 3},{'%.17g' % rt},{i % 2}\n" for i, rt in enumerate(rts)),
+        encoding="utf-8",
+    )
+    smoke = ensure_smoke_workspace(tmp_path / "ws") / "data" / "processed" / "long.csv"
+    kernel = ingest._read_decimals
+    for path in (smoke, generated):
+        taken = []
+
+        def counting(*args):
+            values, took = kernel(*args)
+            taken.append(int(took.sum()))
+            return values, took
+
+        monkeypatch.setattr(ingest, "_read_decimals", counting)
+        table = read_long_csv(path)
+        monkeypatch.setattr(ingest, "_read_decimals", take_no_field)
+        assert_same_table(table, read_long_csv(path))
+        assert sum(taken) > 0.99 * len(table)
+
+
 @pytest.mark.parametrize("wide", [ingest._MAX_FIELD_BYTES + 1, FIELD_LIMIT])
 def test_read_long_csv_reads_from_a_wide_field_with_csv_reader(tmp_path, monkeypatch, wide):
     """csv.reader takes over at the chunk with a field wider than the byte
@@ -1026,3 +1097,121 @@ def test_code_words_checks_the_hash(monkeypatch):
     assert [list(levels)[code] for code in codes] == names
     monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", np.uint64(0))
     assert ingest._code_words(field_words(names), {}, ingest._parse_identifier) is None
+
+
+# ---------------------------------------------------------------------------
+# the decimal kernel against float()
+
+
+def decimal_layout(fields):
+    """(windows, ends, lengths) of byte strings `fields` laid out as
+    _byte_columns lays out a chunk: separated by commas, after
+    _WINDOW_BYTES zero bytes."""
+    data = b",".join(fields) + b"\n"
+    padded = bytes(ingest._WINDOW_BYTES) + data + bytes(ingest._MAX_FIELD_BYTES)
+    lengths = np.array([len(field) for field in fields], dtype=np.intp)
+    ends = ingest._WINDOW_BYTES + np.cumsum(lengths + 1) - 1
+    windows = np.ndarray((len(padded) - ingest._WINDOW_BYTES + 1,), ingest._WINDOW, padded, strides=(1,))
+    return windows, ends, lengths
+
+
+def in_kernel_domain(field):
+    """1 to 19 bytes of ASCII digits with at most one '.' and one digit."""
+    return len(field) <= 19 and field.count(b".") <= 1 and field.replace(b".", b"", 1).isdigit()
+
+
+@pytest.mark.parametrize(
+    "field, taken",
+    [
+        ("0", True),
+        ("400", True),
+        ("612.5", True),
+        ("0.000", True),
+        ("007.50", True),
+        ("5.", True),
+        (".5", True),
+        ("9007199254740992", True),  # 2**53, Clinger's last
+        ("610.87597451246245", True),  # '%.17g', Eisel-Lemire
+        ("1234567890123456789", True),
+        ("." + "9" * 18, True),
+        ("9" * 18 + ".", True),
+        ("12345678901234567890", False),
+        # exactly halfway between two doubles: the halfway bail-out
+        ("9007199254740993", False),
+        ("49073399672874932", False),
+        # the first product rounds these wrong; the second product settles them
+        ("625728.54911079054", True),
+        ("888963842.56695503", True),
+        # the second product cannot settle this one: its bail-out
+        ("98708202720059.50", False),
+        ("4e2", False),
+        ("+400", False),
+        ("-5", False),
+        (" 400", False),
+        ("400 ", False),
+        ("1_000", False),
+        ("4/0", False),
+        ("4:0", False),
+        (".", False),
+        ("", False),
+        ("1.2.3", False),
+        ("..5", False),
+        ("inf", False),
+        ("nan", False),
+    ],
+)
+def test_decimal_kernel_cases(field, taken):
+    values, took = ingest._read_decimals(*decimal_layout([b"s1,t,1,c", field.encode()]))
+    assert took[1] == taken
+    if taken:
+        assert values[1].hex() == float(field).hex()
+
+
+def with_dot(w, fraction):
+    """w's digits, zero-padded to `fraction` digits, with a dot before the
+    last `fraction`."""
+    digits = str(w).rjust(fraction, "0")
+    return digits[: len(digits) - fraction] + "." + digits[len(digits) - fraction :]
+
+
+DECIMAL_FIELDS = st.one_of(
+    st.text("0123456789.", max_size=22),
+    st.text("0123456789.", min_size=15, max_size=20),
+    st.text("0123456789.e+-_ ", max_size=22),
+    st.floats(0.0, 1e7).map(lambda v: "%.17g" % v),
+    st.floats(0.0, 5000.0).map(repr),
+    st.floats(0.0, 5000.0).map(lambda v: "%.3f" % v),
+    st.integers(0, 10**20).map(str),
+    st.builds(with_dot, st.integers(0, 10**19 - 1), st.integers(0, 19)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.lists(DECIMAL_FIELDS, min_size=1, max_size=40))
+def test_decimal_kernel_equals_float(fields):
+    """The kernel takes exactly the fields of its domain but its bail-outs,
+    which all lie above 2**53, and reads each as float() does, bit for bit."""
+    fields = [field.encode() for field in fields]
+    layout = decimal_layout(fields)
+    values, taken = ingest._read_decimals(*layout)
+    assert ingest._decimal_digits(*layout)[2].tolist() == list(map(in_kernel_domain, fields))
+    for field, value, took in zip(fields, values.tolist(), taken.tolist()):
+        if took:
+            assert value.hex() == float(field).hex(), field
+        elif in_kernel_domain(field):
+            assert int(field.replace(b".", b"")) > 2**53, field
+
+
+def test_decimal_kernel_tables():
+    """Each 5**-f entry is the 128-bit truncation, top bit set, and each
+    exponent is 1085 - ceil(log2 10**f), derived here by search."""
+    for f in range(ingest._MAX_DECIMAL_BYTES):
+        k = 127
+        while 2**k < 2**127 * 5**f:
+            k += 1
+        assert int(ingest._POW5_HI[f]) << 64 | int(ingest._POW5_LO[f]) == 2**k // 5**f
+        c = 0
+        while 2**c < 10**f:
+            c += 1
+        assert int(ingest._POW5_EXPONENT[f]) == 1085 - c
+        assert ingest._POW10[f] == 10**f
