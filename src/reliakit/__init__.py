@@ -43,7 +43,6 @@ from .errors import (
 from .estimators import (
     CorrMethod,
     IccEstimate,
-    IccVariant,
     gaussian_mi,
     icc,
     ksg_mi,
@@ -104,7 +103,6 @@ __all__ = [
     "UnknownMeasureError",
     "CorrMethod",
     "IccEstimate",
-    "IccVariant",
     "gaussian_mi",
     "icc",
     "ksg_mi",

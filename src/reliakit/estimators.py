@@ -119,8 +119,9 @@ Implementation notes that matter for reproducibility:
   between pool workers.
 
 ICC follows McGraw & Wong (1996): ICC(2,1) treats sessions as random,
-ICC(3,1) as fixed. The 95% confidence bounds use F quantiles at
-1 - alpha/2 with the Satterthwaite degrees of freedom for ICC(2,1).
+ICC(3,1) as fixed. Both come from one two-way ANOVA table per sample.
+ICC(2,1) carries a 95% interval from F quantiles at 1 - alpha/2 with the
+Satterthwaite degrees of freedom; ICC(3,1) is a point value.
 """
 
 from __future__ import annotations
@@ -173,18 +174,15 @@ class CorrMethod(str, Enum):
     SPEARMAN = "spearman"
 
 
-class IccVariant(str, Enum):
-    TWO_WAY_RANDOM = "icc_2_1"
-    TWO_WAY_FIXED = "icc_3_1"
-
-
 @dataclass(frozen=True)
 class IccEstimate:
-    variant: IccVariant
-    value: float
-    ci_low: float
-    ci_high: float
-    degenerate: bool = False
+    """ICC(2,1) with its 95% interval and ICC(3,1), named as the columns
+    of the results they fill."""
+
+    icc_2_1: float
+    icc_2_1_low: float
+    icc_2_1_high: float
+    icc_3_1: float
 
 
 def _check_sample(sample: PairedSample, min_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -834,15 +832,15 @@ def _f_quantile(p: float, d1: float, d2: float) -> float:
     return d2 * y / (d1 * (1.0 - y))
 
 
-def icc(sample: PairedSample, variant: IccVariant | str) -> IccEstimate:
-    """Single-rater intraclass correlation for the two-session design.
+def icc(sample: PairedSample) -> IccEstimate:
+    """Single-rater intraclass correlations for the two-session design.
 
-    Two-way ANOVA decomposition with subjects as rows and sessions as the
-    m = 2 columns. Degenerate tables (zero between-subject variance) are
-    reported as value 0 with the degenerate flag rather than a negative
-    artifact of the ratio.
+    One two-way ANOVA table, subjects as rows and sessions as the m = 2
+    columns, gives ICC(2,1) (sessions random) with its 95% interval and
+    ICC(3,1) (sessions fixed) as a point value. A table with no
+    between-subject variance admits no ICC and raises
+    DegenerateSampleError.
     """
-    variant = IccVariant(variant)
     x1, x2 = _check_sample(sample, 3)
     n = x1.size
     m = 2
@@ -856,21 +854,12 @@ def icc(sample: PairedSample, variant: IccVariant | str) -> IccEstimate:
     mse = float(np.sum(resid**2)) / ((n - 1) * (m - 1))
 
     if msr == 0.0:
-        return IccEstimate(variant, 0.0, 0.0, 0.0, degenerate=True)
-
-    if variant is IccVariant.TWO_WAY_FIXED:
-        if mse == 0.0:
-            return IccEstimate(variant, 1.0, 1.0, 1.0)
-        value = (msr - mse) / (msr + (m - 1) * mse)
-        f0 = msr / mse
-        fl = f0 / _f_quantile(_ICC_Q, n - 1, (n - 1) * (m - 1))
-        fu = f0 * _f_quantile(_ICC_Q, (n - 1) * (m - 1), n - 1)
-        low = (fl - 1.0) / (fl + m - 1.0)
-        high = (fu - 1.0) / (fu + m - 1.0)
-        return IccEstimate(variant, value, low, high)
+        raise DegenerateSampleError(f"{sample.measure_id}: no between-subject variance")
+    # msr / msr = 1.0 where mse = 0
+    icc_3_1 = (msr - mse) / (msr + (m - 1) * mse)
 
     if mse == 0.0 and msc == 0.0:
-        return IccEstimate(variant, 1.0, 1.0, 1.0)
+        return IccEstimate(1.0, 1.0, 1.0, icc_3_1)
     value = (msr - mse) / (msr + (m - 1) * mse + (m / n) * (msc - mse))
     if mse == 0.0:
         # session-offset-only residual: Satterthwaite df collapses to m - 1
@@ -892,4 +881,4 @@ def icc(sample: PairedSample, variant: IccVariant | str) -> IccEstimate:
         n * (fl * msr - mse)
         / (m * msc + (m * n - m - n) * mse + n * fl * msr)
     )
-    return IccEstimate(variant, value, low, high)
+    return IccEstimate(value, low, high, icc_3_1)

@@ -117,7 +117,7 @@ def apply_primary_inference(
     ok = [e for e in annotated if e.status == STATUS_OK]
     deltas = [e.nlr_delta for e in ok]
     widths = [e.ci_high - e.ci_low for e in ok]
-    iccs = [e.icc_2_1 for e in ok if e.icc_2_1 is not None]
+    iccs = [e.icc_2_1 for e in ok]
     delta_median, delta_iqr = median_iqr(deltas)
     width_median, _ = median_iqr(widths)
     icc_median, icc_iqr = median_iqr(iccs)

@@ -661,16 +661,21 @@ def _chunks(fh: BinaryIO, path: Path, levels: list[dict[str, int]]) -> Iterator[
             return
     fh.seek(offset)
     text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-    if offset == 0:
-        try:
-            header = next(csv.reader(text), None)
-        except csv.Error:
-            _raise_first_bad_row(path, 0)
-        if header is None or tuple(header) != LONG_CSV_COLUMNS:
-            raise IngestError(
-                f"{path.name}: expected header {','.join(LONG_CSV_COLUMNS)}, got {header}"
-            )
-    yield from _csv_chunks(text, path, records, levels)
+    try:
+        if offset == 0:
+            try:
+                header = next(csv.reader(text), None)
+            except csv.Error:
+                _raise_first_bad_row(path, 0)
+            if header is None or tuple(header) != LONG_CSV_COLUMNS:
+                raise IngestError(
+                    f"{path.name}: expected header {','.join(LONG_CSV_COLUMNS)}, got {header}"
+                )
+        yield from _csv_chunks(text, path, records, levels)
+    finally:
+        # fh belongs to the caller: hand it back rather than leave the
+        # wrapper to close it when collected
+        text.detach()
 
 
 def read_long_csv(path: str | Path) -> TrialTable:

@@ -8,7 +8,7 @@ The unit of work is a measure: run_measure estimates one measure under a
 list of specifications. What no specification's seed stream enters is
 evaluated once per measure: the observed KSG term per k, the observed
 correlation and its Gaussian baseline per method, the same two terms on
-the n leave-one-out samples, and both ICCs. Each (specification, measure)
+the n leave-one-out samples, and the ICCs. Each (specification, measure)
 cell still draws its own B replicates from its own derived seed stream and
 builds its own interval, so a cell gets the same bits whichever other
 specifications share its measure, and measures can be computed in any
@@ -18,7 +18,7 @@ order, on any number of workers, and still match a serial run bit for bit.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import product
 
@@ -28,7 +28,6 @@ from .bootstrap import bca_interval, derive_entropy, one_sided_p, resample_stati
 from .errors import BootstrapFailureError, EstimatorError
 from .estimators import (
     CorrMethod,
-    IccVariant,
     clamped_gaussian_mi,
     correlation,
     icc,
@@ -127,8 +126,7 @@ class MeasureTerms:
         self.mi_ksg = {k: _defined(ksg_mi, sample, k) for k in {s.k for s in specs}}
         self.rho = {m: _defined(correlation, sample, m) for m in {s.corr_method for s in specs}}
         self.mi_gauss = {m: clamped_gaussian_mi(r) for m, r in self.rho.items() if r is not None}
-        self.icc_2_1 = _defined(icc, sample, IccVariant.TWO_WAY_RANDOM)
-        self.icc_3_1 = _defined(icc, sample, IccVariant.TWO_WAY_FIXED)
+        self.icc = _defined(icc, sample)
         live = [s for s in specs if self.estimable(s)]
         ks = list(dict.fromkeys(s.k for s in live))
         methods = list(dict.fromkeys(s.corr_method for s in live))
@@ -137,7 +135,7 @@ class MeasureTerms:
         self.jack_gauss = dict(zip(methods, jack_gauss))
 
     def estimable(self, spec: Specification) -> bool:
-        needed = (self.mi_ksg[spec.k], self.rho[spec.corr_method], self.icc_2_1, self.icc_3_1)
+        needed = (self.mi_ksg[spec.k], self.rho[spec.corr_method], self.icc)
         return all(term is not None for term in needed)
 
 
@@ -194,7 +192,6 @@ def run_cell(
         return _cell(spec, sample, STATUS_DEGENERATE)
     point = mi_ksg - mi_gauss
     interval = bca_interval(replicates, point, jack[np.isfinite(jack)])
-    icc2, icc3 = terms.icc_2_1, terms.icc_3_1
     return _cell(
         spec,
         sample,
@@ -208,11 +205,8 @@ def run_cell(
         method=interval.method,
         p=one_sided_p(replicates),
         q=None,
-        icc_2_1=icc2.value,
-        icc_2_1_low=icc2.ci_low,
-        icc_2_1_high=icc2.ci_high,
-        icc_3_1=icc3.value,
         headline_pass=headline_pass(interval.ci_low),
+        **asdict(terms.icc),
     )
 
 

@@ -9,6 +9,7 @@ redistribute and reports SKIP with the reason.
 import csv
 import math
 import shutil
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -155,27 +156,18 @@ def test_acceptance_06_bca_degeneracy():
 
 
 def test_acceptance_07_icc_oracles():
-    same = make_sample([4.0, 9.0, 2.0, 7.0, 5.0], [4.0, 9.0, 2.0, 7.0, 5.0])
-    ok = icc(same, "icc_2_1").value == 1.0 and icc(same, "icc_3_1").value == 1.0
+    same = icc(make_sample([4.0, 9.0, 2.0, 7.0, 5.0], [4.0, 9.0, 2.0, 7.0, 5.0]))
+    ok = same.icc_2_1 == 1.0 and same.icc_3_1 == 1.0
 
     x = np.array([3.0, 8.0, 1.0, 6.0, 4.0, 9.0])
-    shifted = make_sample(x, x + 5.0)
-    ok = ok and icc(shifted, "icc_3_1").value == 1.0
-    ok = ok and icc(shifted, "icc_2_1").value < 1.0
+    shifted = icc(make_sample(x, x + 5.0))
+    ok = ok and shifted.icc_3_1 == 1.0
+    ok = ok and shifted.icc_2_1 < 1.0
 
     x1 = [9.0, 10.5, 6.0, 12.0, 8.0, 11.0]
     x2 = [10.0, 11.0, 7.5, 12.5, 7.0, 12.0]
-    table = make_sample(x1, x2)
-    worst = 0.0
-    for variant in ("icc_2_1", "icc_3_1"):
-        est = icc(table, variant)
-        value, low, high = icc_oracle(x1, x2, variant)
-        worst = max(
-            worst,
-            abs(est.value - value),
-            abs(est.ci_low - low),
-            abs(est.ci_high - high),
-        )
+    est = icc(make_sample(x1, x2))
+    worst = max(abs(got - want) for got, want in zip(astuple(est), icc_oracle(x1, x2)))
     ok = ok and worst <= 1e-10
     report(7, f"ICC limiting cases and ANOVA oracle (worst |diff| {worst:.2e})", ok)
 

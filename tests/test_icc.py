@@ -1,11 +1,16 @@
-"""Intraclass correlation checks against hand-computed tables and an
-independent ANOVA oracle that uses scipy.stats.f for its quantiles."""
+"""Intraclass correlation checks against hand-computed tables, an
+independent ANOVA oracle that uses scipy.stats.f for its quantiles, and the
+arithmetic of one estimator call per variant that icc replaced."""
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reliakit import DegenerateSampleError, IccVariant, icc
+from reliakit import DegenerateSampleError, icc
 from reliakit.estimators import _f_quantile
 
 from conftest import make_sample
@@ -16,9 +21,9 @@ TABLE_X1 = [9.0, 10.5, 6.0, 12.0, 8.0, 11.0]
 TABLE_X2 = [10.0, 11.0, 7.5, 12.5, 7.0, 12.0]
 
 
-def icc_oracle(x1, x2, variant):
+def icc_oracle(x1, x2):
     """Two-way ANOVA recomputation with explicit loops and scipy quantiles
-    for the 95% interval."""
+    for the 95% interval: (icc_2_1, icc_2_1_low, icc_2_1_high, icc_3_1)."""
     n = len(x1)
     m = 2
     table = np.column_stack([np.asarray(x1, float), np.asarray(x2, float)])
@@ -33,12 +38,7 @@ def icc_oracle(x1, x2, variant):
             sse += (table[i, j] - row_means[i] - col_means[j] + grand) ** 2
     mse = sse / ((n - 1) * (m - 1))
     q = 1.0 - (1.0 - 0.95) / 2.0
-    if variant == "icc_3_1":
-        value = (msr - mse) / (msr + (m - 1) * mse)
-        f0 = msr / mse
-        fl = f0 / scipy.stats.f.ppf(q, n - 1, (n - 1) * (m - 1))
-        fu = f0 * scipy.stats.f.ppf(q, (n - 1) * (m - 1), n - 1)
-        return value, (fl - 1) / (fl + m - 1), (fu - 1) / (fu + m - 1)
+    consistency = (msr - mse) / (msr + (m - 1) * mse)
     value = (msr - mse) / (msr + (m - 1) * mse + (m / n) * (msc - mse))
     fj = msc / mse
     a = m * value * fj
@@ -48,7 +48,55 @@ def icc_oracle(x1, x2, variant):
     fl = scipy.stats.f.ppf(q, v, n - 1)
     low = n * (msr - fu * mse) / (fu * (m * msc + (m * n - m - n) * mse) + n * msr)
     high = n * (fl * msr - mse) / (m * msc + (m * n - m - n) * mse + n * fl * msr)
-    return value, low, high
+    return value, low, high, consistency
+
+
+def two_call_icc(x1, x2, variant):
+    """The arithmetic of the former icc(sample, variant), one ANOVA table per
+    call: (value, ci_low, ci_high, degenerate)."""
+    n = x1.size
+    m = 2
+    table = np.column_stack([x1, x2])
+    grand = table.mean()
+    row_means = table.mean(axis=1)
+    col_means = table.mean(axis=0)
+    msr = m * float(np.sum((row_means - grand) ** 2)) / (n - 1)
+    msc = n * float(np.sum((col_means - grand) ** 2)) / (m - 1)
+    resid = table - row_means[:, None] - col_means[None, :] + grand
+    mse = float(np.sum(resid**2)) / ((n - 1) * (m - 1))
+    q = 1.0 - (1.0 - 0.95) / 2.0
+
+    if msr == 0.0:
+        return 0.0, 0.0, 0.0, True
+
+    if variant == "icc_3_1":
+        if mse == 0.0:
+            return 1.0, 1.0, 1.0, False
+        value = (msr - mse) / (msr + (m - 1) * mse)
+        f0 = msr / mse
+        fl = f0 / _f_quantile(q, n - 1, (n - 1) * (m - 1))
+        fu = f0 * _f_quantile(q, (n - 1) * (m - 1), n - 1)
+        low = (fl - 1.0) / (fl + m - 1.0)
+        high = (fu - 1.0) / (fu + m - 1.0)
+        return value, low, high, False
+
+    if mse == 0.0 and msc == 0.0:
+        return 1.0, 1.0, 1.0, False
+    value = (msr - mse) / (msr + (m - 1) * mse + (m / n) * (msc - mse))
+    if mse == 0.0:
+        v = float(m - 1)
+    else:
+        fj = msc / mse
+        a_term = m * value * fj
+        b_term = n * (1.0 + (m - 1) * value) - m * value
+        v_num = (m - 1) * (n - 1) * (a_term + b_term) ** 2
+        v_den = (n - 1) * a_term**2 + b_term**2
+        v = v_num / v_den
+    fu = _f_quantile(q, n - 1, v)
+    fl = _f_quantile(q, v, n - 1)
+    low = n * (msr - fu * mse) / (fu * (m * msc + (m * n - m - n) * mse) + n * msr)
+    high = n * (fl * msr - mse) / (m * msc + (m * n - m - n) * mse + n * fl * msr)
+    return value, low, high, False
 
 
 def offset_table(rng, n):
@@ -61,62 +109,44 @@ def offset_table(rng, n):
 
 
 def test_frozen_six_subject_table_agreement():
-    s = make_sample(TABLE_X1, TABLE_X2)
-    est = icc(s, IccVariant.TWO_WAY_RANDOM)
-    assert est.value == pytest.approx(0.9074818986323411, abs=1e-10)
-    assert est.ci_low == pytest.approx(0.5035014848419925, abs=1e-10)
-    assert est.ci_high == pytest.approx(0.9864215623861153, abs=1e-10)
-    assert not est.degenerate
+    est = icc(make_sample(TABLE_X1, TABLE_X2))
+    assert est.icc_2_1 == pytest.approx(0.9074818986323411, abs=1e-10)
+    assert est.icc_2_1_low == pytest.approx(0.5035014848419925, abs=1e-10)
+    assert est.icc_2_1_high == pytest.approx(0.9864215623861153, abs=1e-10)
 
 
 def test_frozen_six_subject_table_consistency():
-    s = make_sample(TABLE_X1, TABLE_X2)
-    est = icc(s, IccVariant.TWO_WAY_FIXED)
-    assert est.value == pytest.approx(0.9268693508627773, abs=1e-10)
-    assert est.ci_low == pytest.approx(0.5732827826936768, abs=1e-10)
-    assert est.ci_high == pytest.approx(0.9894344870875729, abs=1e-10)
+    est = icc(make_sample(TABLE_X1, TABLE_X2))
+    assert est.icc_3_1 == pytest.approx(0.9268693508627773, abs=1e-10)
 
 
 def test_six_subject_table_matches_oracle():
-    s = make_sample(TABLE_X1, TABLE_X2)
-    for variant in ("icc_2_1", "icc_3_1"):
-        est = icc(s, variant)
-        value, low, high = icc_oracle(TABLE_X1, TABLE_X2, variant)
-        assert est.value == pytest.approx(value, abs=1e-10)
-        assert est.ci_low == pytest.approx(low, abs=1e-10)
-        assert est.ci_high == pytest.approx(high, abs=1e-10)
+    est = icc(make_sample(TABLE_X1, TABLE_X2))
+    assert astuple(est) == pytest.approx(icc_oracle(TABLE_X1, TABLE_X2), abs=1e-10)
 
 
 def test_identical_sessions():
-    s = make_sample([1.0, 4.0, 2.0, 6.0], [1.0, 4.0, 2.0, 6.0])
-    for variant in IccVariant:
-        est = icc(s, variant)
-        assert (est.value, est.ci_low, est.ci_high) == (1.0, 1.0, 1.0)
-        assert not est.degenerate
+    est = icc(make_sample([1.0, 4.0, 2.0, 6.0], [1.0, 4.0, 2.0, 6.0]))
+    assert astuple(est) == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_pure_session_offset():
     # agreement is destroyed by the offset, consistency is perfect
     x1 = np.arange(1.0, 7.0)
-    s = make_sample(x1, x1 + 10.0)
-    agreement = icc(s, "icc_2_1")
-    assert agreement.value == pytest.approx(0.06542056074766354, abs=1e-12)
-    assert agreement.ci_low == pytest.approx(7.592866973237002e-05, abs=1e-12)
-    assert agreement.ci_high == pytest.approx(0.41193377622337324, abs=1e-12)
-    consistency = icc(s, "icc_3_1")
-    assert (consistency.value, consistency.ci_low, consistency.ci_high) == (
-        1.0,
-        1.0,
-        1.0,
-    )
+    est = icc(make_sample(x1, x1 + 10.0))
+    assert est.icc_2_1 == pytest.approx(0.06542056074766354, abs=1e-12)
+    assert est.icc_2_1_low == pytest.approx(7.592866973237002e-05, abs=1e-12)
+    assert est.icc_2_1_high == pytest.approx(0.41193377622337324, abs=1e-12)
+    assert est.icc_3_1 == 1.0
 
 
-def test_no_subject_variance_is_degenerate():
-    s = make_sample([5.0, 5.0, 5.0], [7.0, 7.0, 7.0])
-    for variant in IccVariant:
-        est = icc(s, variant)
-        assert est.degenerate
-        assert (est.value, est.ci_low, est.ci_high) == (0.0, 0.0, 0.0)
+def test_no_subject_variance_raises():
+    with pytest.raises(DegenerateSampleError, match="m: no between-subject variance"):
+        icc(make_sample([5.0, 5.0, 5.0], [7.0, 7.0, 7.0]))
+    # each subject's two scores sum to the same total: the row means agree
+    x1 = np.arange(30) / 4.0
+    with pytest.raises(DegenerateSampleError, match="crossed"):
+        icc(make_sample(x1, 10.0 - x1, measure_id="crossed"))
 
 
 def test_random_tables_match_oracle():
@@ -124,26 +154,57 @@ def test_random_tables_match_oracle():
     for _ in range(15):
         n = int(rng.integers(5, 30))
         s = offset_table(rng, n)
-        for variant in ("icc_2_1", "icc_3_1"):
-            est = icc(s, variant)
-            value, low, high = icc_oracle(list(s.x1), list(s.x2), variant)
-            assert est.value == pytest.approx(value, abs=1e-10)
-            assert est.ci_low == pytest.approx(low, abs=1e-10)
-            assert est.ci_high == pytest.approx(high, abs=1e-10)
+        want = icc_oracle(list(s.x1), list(s.x2))
+        assert astuple(icc(s)) == pytest.approx(want, abs=1e-10)
 
 
 def test_random_table_invariants():
     rng = np.random.default_rng(89)
     for _ in range(25):
         n = int(rng.integers(4, 40))
-        s = offset_table(rng, n)
-        agreement = icc(s, "icc_2_1")
-        consistency = icc(s, "icc_3_1")
-        for est in (agreement, consistency):
-            assert est.ci_low <= est.value <= est.ci_high
-            assert est.value <= 1.0
+        est = icc(offset_table(rng, n))
+        assert est.icc_2_1_low <= est.icc_2_1 <= est.icc_2_1_high
+        assert est.icc_2_1 <= 1.0 and est.icc_3_1 <= 1.0
         # session effects only lower agreement relative to consistency
-        assert agreement.value <= consistency.value + 1e-12
+        assert est.icc_2_1 <= est.icc_3_1 + 1e-12
+
+
+@st.composite
+def icc_tables(draw):
+    """Score pairs of 3 to 30 subjects whose second session is free, a
+    copy of the first, or the first shifted by one offset."""
+    n = draw(st.integers(3, 30))
+    score = st.floats(-1e3, 1e3, allow_subnormal=False)
+    x1 = np.array(draw(st.lists(score, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["free", "identical", "offset"]))
+    if kind == "free":
+        x2 = np.array(draw(st.lists(score, min_size=n, max_size=n)))
+    elif kind == "identical":
+        x2 = x1.copy()
+    else:
+        x2 = x1 + draw(score)
+    return x1, x2
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(icc_tables())
+@example((np.array([1.0, 4.0, 2.0]), np.array([1.0, 4.0, 2.0])))
+@example((np.arange(1.0, 7.0), np.arange(1.0, 7.0) + 10.0))
+@example((np.array([9.0, 10.5, 6.0]), np.array([10.0, 11.0, 7.5])))
+def test_one_table_matches_the_two_calls_bit_for_bit(table):
+    x1, x2 = table
+    random = two_call_icc(x1, x2, "icc_2_1")
+    fixed = two_call_icc(x1, x2, "icc_3_1")
+    sample = make_sample(x1, x2)
+    if random[3]:
+        with pytest.raises(DegenerateSampleError):
+            icc(sample)
+        return
+    assert _bits(astuple(icc(sample))) == _bits(random[:3] + fixed[:1])
 
 
 def test_f_quantile_matches_scipy():
@@ -155,11 +216,4 @@ def test_f_quantile_matches_scipy():
 
 def test_needs_three_subjects():
     with pytest.raises(DegenerateSampleError):
-        icc(make_sample([1.0, 2.0], [1.0, 2.0]), "icc_2_1")
-
-
-def test_variant_strings():
-    s = make_sample(TABLE_X1, TABLE_X2)
-    assert icc(s, "icc_2_1") == icc(s, IccVariant.TWO_WAY_RANDOM)
-    with pytest.raises(ValueError):
-        icc(s, "icc_1_1")
+        icc(make_sample([1.0, 2.0], [1.0, 2.0]))

@@ -15,10 +15,9 @@ from reliakit.bootstrap import (
     resample_statistic,
 )
 from reliakit.errors import BootstrapFailureError, EstimatorError
-from reliakit import estimators
+from reliakit import estimators, multiverse
 from reliakit.estimators import (
     CorrMethod,
-    IccVariant,
     clamped_gaussian_mi,
     correlation,
     icc,
@@ -274,7 +273,7 @@ def oracle_bootstrap(sample, statistic, b, entropy):
 
 def oracle_cell(spec, sample, base_seed, b):
     """The per-cell path the engine replaced: correlation, baseline and KSG
-    term, then the bootstrap, then both ICCs, every term evaluated for this
+    term, then the bootstrap, then the ICCs, every term evaluated for this
     cell alone."""
     spec_id = spec.spec_id
     n = sample.n
@@ -288,8 +287,7 @@ def oracle_cell(spec, sample, base_seed, b):
         statistic = partial(nlr_delta_rows, k=spec.k, corr_method=spec.corr_method)
         entropy = derive_entropy(base_seed, sample.measure_id, spec_id)
         point, interval, p = oracle_bootstrap(sample, statistic, b, entropy)
-        icc2 = icc(sample, IccVariant.TWO_WAY_RANDOM)
-        icc3 = icc(sample, IccVariant.TWO_WAY_FIXED)
+        iccs = icc(sample)
     except (EstimatorError, BootstrapFailureError):
         estimate = ReliabilityEstimate(sample.measure_id, spec_id, n, STATUS_DEGENERATE)
         return MultiverseCell(spec=spec, estimate=estimate)
@@ -307,10 +305,10 @@ def oracle_cell(spec, sample, base_seed, b):
         method=interval.method,
         p=p,
         q=None,
-        icc_2_1=icc2.value,
-        icc_2_1_low=icc2.ci_low,
-        icc_2_1_high=icc2.ci_high,
-        icc_3_1=icc3.value,
+        icc_2_1=iccs.icc_2_1,
+        icc_2_1_low=iccs.icc_2_1_low,
+        icc_2_1_high=iccs.icc_2_1_high,
+        icc_3_1=iccs.icc_3_1,
         headline_pass=headline_pass(interval.ci_low),
     )
     return MultiverseCell(spec=spec, estimate=estimate)
@@ -387,6 +385,31 @@ def test_engine_on_constant_session_is_degenerate():
     sample = make_sample([0.5] * 12, np.linspace(0.0, 1.0, 12))
     cells = assert_engine_equals_oracle(build_grid() + LOW_N_MIN_SPECS, sample, 3, 20)
     assert {c.estimate.status for c in cells} == {STATUS_DEGENERATE, STATUS_INSUFFICIENT_N}
+
+
+def test_engine_on_a_sample_without_subject_variance_is_degenerate():
+    # each subject's two scores sum to 10: the correlation and the KSG term
+    # exist, but the ICC table has no between-subject variance
+    x1 = np.arange(30) / 4.0
+    sample = make_sample(x1, 10.0 - x1)
+    cells = assert_engine_equals_oracle([DEFAULT_SPEC], sample, 1, 50)
+    assert cells[0].estimate.status == STATUS_DEGENERATE
+    assert cells[0].estimate.icc_2_1 is None
+
+
+@pytest.mark.parametrize("specs", [[DEFAULT_SPEC], build_grid()], ids=["default", "grid"])
+def test_icc_runs_once_per_measure(specs, monkeypatch):
+    calls = []
+
+    def counting(sample):
+        calls.append(sample.measure_id)
+        return icc(sample)
+
+    monkeypatch.setattr(multiverse, "icc", counting)
+    sample = gauss_pairs(np.random.default_rng(3), 25, rho=0.5)
+    cells = run_measure(specs, sample, 1, 20)
+    assert calls == ["m"]
+    assert [c.estimate.status for c in cells] == [STATUS_OK] * len(specs)
 
 
 @pytest.mark.parametrize("n", [113, 114, 181, 182])
