@@ -26,10 +26,12 @@ n pairs one per row, to m values, a non-finite value marking a sample that
 admits none. Replicate and jackknife-deletion rows are built and evaluated
 a block of about _BLOCK_ELEMENTS scores (at least one row) at a time, so
 working memory is set by the block, not by B or the number of deletions,
-and the statistic's per-call cost is paid once per block. Blocks change
-neither the index streams (replicate r still draws from its own RNG) nor
-the values or the drop counts: each row is evaluated on its own, whichever
-block it lands in.
+and the statistic's per-call cost is paid once per block. deletion_rows
+is the one definition of the deletion rows and their blocks; both
+jackknife_values and estimators.nlr_deletion_terms iterate it. Blocks
+change neither the index streams (replicate r still draws from its own
+RNG) nor the values or the drop counts: each row is evaluated on its own,
+whichever block it lands in.
 
 The one-sided p-value for H0: statistic <= 0 is the add-one counting
 estimate p = (1 + #{replicate <= 0}) / (b_effective + 1). The upstream
@@ -256,16 +258,13 @@ def resample_statistic(
     return values, b - values.size
 
 
-def deletion_blocks(sample: PairedSample):
-    """The n leave-one-subject-out samples, a block at a time: yields
-    (start, stop, x1_rows, x2_rows), where row i of the two
-    (stop - start, n - 1) arrays holds every subject but start + i, in
-    order."""
-    n = sample.n
+def deletion_rows(n: int):
+    """The index rows of the n leave-one-out samples of n pairs, a block at
+    a time: yields (start, stop, rows), where row i of the (stop - start,
+    n - 1) array holds every index but start + i, in order."""
     kept = np.arange(n - 1)
     for start, stop in _blocks(n, n - 1):
-        idx = kept + (kept >= np.arange(start, stop)[:, None])
-        yield start, stop, sample.x1[idx], sample.x2[idx]
+        yield start, stop, kept + (kept >= np.arange(start, stop)[:, None])
 
 
 def jackknife_values(sample: PairedSample, statistic: Statistic) -> np.ndarray:
@@ -274,8 +273,8 @@ def jackknife_values(sample: PairedSample, statistic: Statistic) -> np.ndarray:
     estimators.nlr_deletion_terms instead, which equals this for
     nlr_delta_rows."""
     values = np.empty(sample.n, dtype=np.float64)
-    for start, stop, x1, x2 in deletion_blocks(sample):
-        values[start:stop] = statistic(x1, x2)
+    for start, stop, rows in deletion_rows(sample.n):
+        values[start:stop] = statistic(sample.x1[rows], sample.x2[rows])
     return values[np.isfinite(values)]
 
 

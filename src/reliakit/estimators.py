@@ -102,9 +102,10 @@ Implementation notes that matter for reproducibility:
   clamped rows (a vectorized np.log1p differs in the last bit).
 * nlr_deletion_terms evaluates both terms of that point on the n
   leave-one-out samples for several k and correlation methods in one
-  pass, each block of deletion rows built and standardized once for all
-  of them, so a caller that shares them across specifications (the
-  multiverse engine) gets the bits each specification would get alone.
+  pass over the blocks of bootstrap.deletion_rows, the rows the jackknife
+  of any statistic takes, each block standardized once for all of them,
+  so a caller that shares them across specifications (the multiverse
+  engine) gets the bits each specification would get alone.
 * The neighbour-count kernels take their distance matrices in blocks of
   about _BLOCK_ELEMENTS elements, whatever n and the number of samples:
   many whole samples per block when n is small, a few query rows of one
@@ -136,6 +137,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .bootstrap import deletion_rows
 from .digamma import digamma_table
 from .errors import DegenerateSampleError, EstimatorError
 from .ingest import PairedSample
@@ -197,18 +199,18 @@ def _check_sample(sample: PairedSample, min_n: int) -> tuple[np.ndarray, np.ndar
     return x1, x2
 
 
-def _check_k(k: int) -> int:
-    """k as a Python int: a positive int or numpy integer, never a bool or
-    a float."""
-    if not isinstance(k, bool):
+def positive_int(name: str, value, error: type[Exception] = EstimatorError) -> int:
+    """value as a Python int: a positive int or numpy integer, never a bool
+    or a float; raises error naming it otherwise."""
+    if not isinstance(value, bool):
         try:
-            value = operator.index(k)
+            number = operator.index(value)
         except TypeError:
             pass
         else:
-            if value >= 1:
-                return value
-    raise EstimatorError(f"k must be a positive integer, got {k!r}")
+            if number >= 1:
+                return number
+    raise error(f"{name} must be a positive integer, got {value!r}")
 
 
 def _pearson_rows(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -684,13 +686,13 @@ def nlr_deletion_terms(x1: np.ndarray, x2: np.ndarray, ks, corr_methods) -> tupl
     and NaN where those raise: fewer than k + 1 pairs for a KSG term,
     fewer than 2 pairs or zero variance in a session for a baseline.
 
-    Each block of deletion rows is built and standardized once for every k
+    Each block of bootstrap.deletion_rows is standardized once for every k
     and method. A k whose deletion rows are no wider than a window is
     counted all pairs on them; a wider one takes eps and the counts from
     the observed sample, certified exact against the deletion row (see the
     module docstring).
     """
-    ks = tuple(_check_k(k) for k in ks)
+    ks = tuple(positive_int("k", k) for k in ks)
     corr_methods = [CorrMethod(method) for method in corr_methods]
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
@@ -717,19 +719,15 @@ def nlr_deletion_terms(x1: np.ndarray, x2: np.ndarray, ks, corr_methods) -> tupl
         held = np.argsort(near, axis=None, kind="stable")
         held_point, held_by = near.ravel()[held], held // near.shape[1]
     t = digamma_table(n - 1)
-    kept = np.arange(n - 1)
-    step = max(1, _BLOCK_ELEMENTS // (n - 1))  # the deletion rows of bootstrap.deletion_blocks
-    for start in range(0, n, step):
-        gone = np.arange(start, min(start + step, n))
-        block = slice(start, start + gone.size)
-        full = kept + (kept >= gone[:, None])
+    for start, stop, full in deletion_rows(n):
+        gone = np.arange(start, stop)
         raw1, raw2 = x1[full], x2[full]
         for j, method in enumerate(corr_methods):
-            mi_gauss[j, block] = _gaussian_mi_rows(_corr_rows(raw1, raw2, method))
+            mi_gauss[j, start:stop] = _gaussian_mi_rows(_corr_rows(raw1, raw2, method))
         (r1, sd1), (r2, sd2) = _standardize_sd(raw1), _standardize_sd(raw2)
         for j in live:
             if j not in windowed:
-                mi_ksg[j, block] = _ksg_term(t, ks[j], *_ksg_counts_brute(r1, r2, ks[j]))
+                mi_ksg[j, start:stop] = _ksg_term(t, ks[j], *_ksg_counts_brute(r1, r2, ks[j]))
         if not windowed:
             continue
         reach_row = np.maximum(np.abs(r1), np.abs(r2)).max(axis=1, keepdims=True)
@@ -742,7 +740,7 @@ def nlr_deletion_terms(x1: np.ndarray, x2: np.ndarray, ks, corr_methods) -> tupl
         constant = ((sd1 == 0.0) | (sd2 == 0.0))[:, 0]
         intact = np.ones(full.shape, dtype=bool)
         intact[constant] = False
-        a, b = np.searchsorted(held_point, (start, block.stop))
+        a, b = np.searchsorted(held_point, (start, stop))
         held_row, by = held_point[a:b] - start, held_by[a:b]
         intact[held_row, by - (by > gone[held_row])] = False
         certified, eps = {}, {}
@@ -770,7 +768,7 @@ def nlr_deletion_terms(x1: np.ndarray, x2: np.ndarray, ks, corr_methods) -> tupl
                 tuple(_guess(prefix, full, gone1) for prefix in stars[j].prefixes1),
                 tuple(_guess(prefix, full, gone2) for prefix in stars[j].prefixes2),
             )
-            mi_ksg[j, block] = _ksg_term(t, ks[j], *counts)
+            mi_ksg[j, start:stop] = _ksg_term(t, ks[j], *counts)
     return mi_ksg, mi_gauss
 
 
@@ -782,7 +780,7 @@ def ksg_mi(sample: PairedSample, k: int = DEFAULT_K) -> float:
     marginal neighbours strictly inside eps_i. Can be negative at finite n;
     that bias is exactly what nlr_delta is designed to carry.
     """
-    k = _check_k(k)
+    k = positive_int("k", k)
     x1, x2 = _check_sample(sample, k + 1)
     return float(_ksg_rows(x1[None], x2[None], (k,))[0][0])
 
@@ -801,7 +799,7 @@ def nlr_delta_rows(
     with NaN for every row on which those raise: a non-finite score, fewer
     than k + 1 pairs, or zero variance in a session.
     """
-    k = _check_k(k)
+    k = positive_int("k", k)
     corr_method = CorrMethod(corr_method)
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)

@@ -15,6 +15,7 @@ gate refuses any workspace containing it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from .provenance import (
     PROCESSED_RELPATH,
     SYNTHETIC_MARKER,
 )
-from .registry import Tier
 
 FIXTURE_SEED = 20260819
 
@@ -39,13 +39,6 @@ _KEY_FILES = (CONTRACT_RELPATH, PROCESSED_RELPATH, HASH_MANIFEST, GATE_CONFIG)
 
 CONTRACT_DOC = {
     "version": "smoke-1",
-    "declared_counts": {
-        "canonical": 1,
-        "primary": 6,
-        "sensitivity": 1,
-        "descriptive": 1,
-        "excluded": 1,
-    },
     "entries": [
         {
             "measure_id": "taskA_meanrt",
@@ -141,6 +134,9 @@ CONTRACT_DOC = {
         },
     ],
 }
+# every tier holds an entry, so the count names each of them, as the
+# contract's declared_counts and the gate's pinned_tier_counts
+CONTRACT_DOC["declared_counts"] = dict(Counter(entry["tier"] for entry in CONTRACT_DOC["entries"]))
 
 
 def _sigmoid(z: float) -> float:
@@ -277,14 +273,11 @@ def make_smoke_workspace(root: str | Path) -> Path:
     )
 
     write_json(manifest, {PROCESSED_PIN: sha256_file(long_csv)})
-    tier_counts = {tier.value: 0 for tier in Tier}
-    for entry in CONTRACT_DOC["entries"]:
-        tier_counts[entry["tier"]] += 1
     write_json(
         root / GATE_CONFIG,
         {
             "schema_version": 1,
-            "pinned_tier_counts": tier_counts,
+            "pinned_tier_counts": CONTRACT_DOC["declared_counts"],
             "pinned_digests": {
                 CONTRACT_RELPATH: sha256_file(contract),
                 HASH_MANIFEST: sha256_file(manifest),

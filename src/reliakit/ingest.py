@@ -53,7 +53,7 @@ RT_MAX_MS = 5000.0
 LONG_CSV_COLUMNS = ("subject_id", "task", "session", "condition", "rt_ms", "accuracy")
 
 MISSING_ACCURACY = -1
-_CHUNK_ROWS = 16384
+_CHUNK_ROWS = 16384  # records per chunk of csv.reader's path
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,8 @@ class MeasureEvidence:
 class PairedSample:
     """Two same-length score vectors aligned by subject.
 
-    subjects may be empty for transient resamples; when present it is
-    sorted and aligned with the score arrays.
+    build_sample fills subjects, sorted and aligned with the score arrays;
+    a sample built from scores alone may leave it empty.
     """
 
     measure_id: str
@@ -308,7 +308,7 @@ def _sorted_codes(codes: np.ndarray, levels: dict[str, int]) -> tuple[np.ndarray
     return rank[codes], tuple(names)
 
 
-_READ_BYTES = 1 << 20
+_READ_BYTES = 1 << 20  # bytes per read of the byte path; its chunks end at the last newline
 # widest field, in bytes, coded from the bytes of a plain chunk; a chunk
 # with a wider one goes to csv.reader, so the field words stay small
 _MAX_FIELD_BYTES = 64
@@ -371,31 +371,29 @@ _LOW9 = 0x1FF
 
 
 def _line_chunks(fh: BinaryIO) -> Iterator[bytes]:
-    """The rest of `fh` in chunks of _CHUNK_ROWS lines, each cut just after
-    its last newline; the last chunk may hold fewer lines and lack the
-    final newline."""
-    rows = _CHUNK_ROWS
+    """The rest of `fh` in chunks of whole lines: each _READ_BYTES read is
+    cut just after its last newline, and what follows opens the next
+    chunk. The last chunk may lack the final newline."""
     pending: list[bytes] = []
-    count = 0  # newlines in pending
     while block := fh.read(_READ_BYTES):
-        cuts = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n")) + 1
-        start = 0
-        for cut in cuts[rows - count - 1 :: rows].tolist():
-            yield b"".join([*pending, block[start:cut]])
-            pending, start = [], cut
-        count = (count + cuts.size) % rows
-        pending.append(block[start:])
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pending, block[:cut]])
+            pending = []
+        pending.append(block[cut:])
     if any(pending):
         yield b"".join(pending)
 
 
-def _plain_fields(data: bytes, field_limit: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _plain_fields(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """The (lines, 6) byte offsets and lengths of the fields of a chunk of
     lines that ends in a newline, or None unless the chunk is plain: no
     '"', carriage return or NUL (which csv.reader refuses before Python
     3.11), exactly five commas and then a newline on every line, and no
-    field longer than `field_limit` bytes. csv.reader reads each plain line
-    as one record whose fields lie between those commas."""
+    field longer than min(csv.field_size_limit(), _MAX_FIELD_BYTES) bytes,
+    so the byte coder takes every field and csv.reader would refuse none.
+    csv.reader reads each plain line as one record whose fields lie between
+    those commas."""
     if b'"' in data or b"\r" in data or b"\0" in data:
         return None
     width = len(LONG_CSV_COLUMNS)
@@ -410,7 +408,7 @@ def _plain_fields(data: bytes, field_limit: int) -> tuple[np.ndarray, np.ndarray
     starts[1:] = ends[:-1] + 1
     starts, ends = starts.reshape(lines, width), ends.reshape(lines, width)
     lengths = ends - starts
-    if lengths.max() > field_limit:
+    if lengths.max() > min(csv.field_size_limit(), _MAX_FIELD_BYTES):
         return None
     return starts, lengths
 
@@ -566,17 +564,15 @@ def _byte_columns(
     data: bytes, starts: np.ndarray, lengths: np.ndarray, levels: list[dict[str, int]]
 ) -> list[np.ndarray] | None:
     """The six parsed columns of a plain chunk, read from its bytes, or
-    None when a field is longer than _MAX_FIELD_BYTES, when a value fails
-    its check, on a hash collision, or when it would need str semantics:
-    float() takes Unicode digits and spaces only from a str. Identifiers,
-    session and accuracy are coded by their distinct byte strings, each
-    decoded and parsed once. rt_ms is the correctly rounded double of each
-    field, equal to Python float() of its bytes: the decimal kernel
-    (_read_decimals) reads fields of up to _MAX_DECIMAL_BYTES ASCII digits
-    with at most one '.', and float() reads the rest. Plain fields hold no
-    NUL, so a field's zero-padded words give back its bytes."""
-    if lengths.max() > _MAX_FIELD_BYTES:
-        return None
+    None when a value fails its check, on a hash collision, or when it
+    would need str semantics: float() takes Unicode digits and spaces only
+    from a str. Identifiers, session and accuracy are coded by their
+    distinct byte strings, each decoded and parsed once. rt_ms is the
+    correctly rounded double of each field, equal to Python float() of its
+    bytes: the decimal kernel (_read_decimals) reads fields of up to
+    _MAX_DECIMAL_BYTES ASCII digits with at most one '.', and float() reads
+    the rest. Plain fields hold no NUL, so a field's zero-padded words give
+    back its bytes."""
     padded = bytes(_WINDOW_BYTES) + data + bytes(_MAX_FIELD_BYTES)
     starts = starts + _WINDOW_BYTES
     words = np.ndarray((len(padded) - 7,), dtype=_LE_WORD, buffer=padded, strides=(1,))
@@ -636,12 +632,11 @@ def _is_header(line: bytes) -> bool:
 
 def _chunks(fh: BinaryIO, path: Path, levels: list[dict[str, int]]) -> Iterator[list[np.ndarray]]:
     """The table's records after the header, parsed in chunks. After a
-    header line that csv.reader reads as the column names, chunks of
-    _CHUNK_ROWS lines are read from their bytes while they are plain (see
-    _plain_fields) and their columns pass (see _byte_columns). From any
-    other header, or from the first chunk that is not plain or does not
-    pass, on, csv.reader reads the rest of the file."""
-    field_limit = csv.field_size_limit()
+    header line that csv.reader reads as the column names, chunks of whole
+    lines (see _line_chunks) are read from their bytes while they are plain
+    (see _plain_fields) and their columns pass (see _byte_columns). From
+    any other header, or from the first chunk that is not plain or does
+    not pass, on, csv.reader reads the rest of the file."""
     records = 0
     first_line = fh.readline()
     offset = len(first_line) if _is_header(first_line) else 0
@@ -650,7 +645,7 @@ def _chunks(fh: BinaryIO, path: Path, levels: list[dict[str, int]]) -> Iterator[
             if not data.isascii():
                 data.decode("utf-8")  # raises on bytes that are not UTF-8
             whole = data if data.endswith(b"\n") else data + b"\n"
-            fields = _plain_fields(whole, field_limit)
+            fields = _plain_fields(whole)
             parts = None if fields is None else _byte_columns(whole, *fields, levels)
             if parts is None:
                 break
@@ -683,22 +678,22 @@ def read_long_csv(path: str | Path) -> TrialTable:
 
     The table is what csv.reader reads from it. After a first line that
     csv.reader reads as the column names, the file is read in binary chunks
-    of _CHUNK_ROWS lines. While the chunks are plain (see _plain_fields),
-    each is parsed from its bytes: one numpy pass finds its commas and
-    newlines, identifiers, session and accuracy are coded by their distinct
-    byte strings, and rt_ms is the correctly rounded double of each field,
-    equal to Python float() of it: the decimal kernel (_read_decimals)
-    reads fields of 1 to 19 ASCII digits with at most one '.', and float()
-    of the bytes reads the rest. From any other
-    header, or from the first chunk that is not plain or that the byte path
-    cannot parse (a field longer than _MAX_FIELD_BYTES, an rt_ms that only
-    a str parses, a bad value), on, csv.reader reads the rest, so quoted
-    fields, CRLF line ends and blank lines parse as csv defines them, and
-    its chunks' columns are parsed as strings by the same level parsers. A
-    chunk that fails any check there is re-read row by row, so the error
-    names the first bad record and its physical line. Blank lines are
-    skipped; a record with too few or too many fields, a field longer than
-    csv.field_size_limit() and bytes that are not UTF-8 are errors."""
+    of whole lines, each _READ_BYTES read up to its last newline. While the
+    chunks are plain (see _plain_fields), each is parsed from its bytes: one numpy pass finds its commas and newlines,
+    identifiers, session and accuracy are coded by their distinct byte
+    strings, and rt_ms is the correctly rounded double of each field, equal
+    to Python float() of it: the decimal kernel (_read_decimals) reads
+    fields of 1 to 19 ASCII digits with at most one '.', and float() of the
+    bytes reads the rest. From any other header, or from the first chunk
+    that is not plain or that the byte path cannot parse (a field longer
+    than _MAX_FIELD_BYTES, an rt_ms that only a str parses, a bad value),
+    on, csv.reader reads the rest, so quoted fields, CRLF line ends and
+    blank lines parse as csv defines them, and its chunks' columns are
+    parsed as strings by the same level parsers. A chunk that fails any
+    check there is re-read row by row, so the error names the first bad
+    record and its physical line. Blank lines are skipped; a record with
+    too few or too many fields, a field longer than csv.field_size_limit()
+    and bytes that are not UTF-8 are errors."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"processed table missing: {path}")

@@ -17,7 +17,6 @@ order, on any number of workers, and still match a serial run bit for bit.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import product
@@ -34,6 +33,7 @@ from .estimators import (
     ksg_mi,
     nlr_deletion_terms,
     nlr_delta_rows,
+    positive_int,
 )
 from .inference import (
     STATUS_DEGENERATE,
@@ -50,20 +50,6 @@ CORR_GRID = (CorrMethod.PEARSON, CorrMethod.SPEARMAN)
 N_MIN_GRID = (10, 15, 20)
 
 
-def _positive_int(name: str, value) -> int:
-    """value as a Python int: a positive int or numpy integer, never a bool
-    or a float."""
-    if not isinstance(value, bool):
-        try:
-            number = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if number >= 1:
-                return number
-    raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Specification:
     k: int
@@ -76,7 +62,7 @@ class Specification:
         # would print into spec_id (nmin10.5); numpy integers are stored as
         # the int they equal, so spec_id and the keys stay those of an int
         for name in ("k", "n_min"):
-            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
+            object.__setattr__(self, name, positive_int(name, getattr(self, name), ValueError))
         # "pearson" is stored as CorrMethod.PEARSON, whose value spec_id
         # reads; an unknown method raises ValueError
         object.__setattr__(self, "corr_method", CorrMethod(self.corr_method))

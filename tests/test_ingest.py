@@ -2,7 +2,7 @@ import csv
 import hashlib
 import io
 import tempfile
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 from unittest import mock
 
@@ -284,8 +284,10 @@ def test_read_long_csv_rejects_bytes_that_are_not_utf8(tmp_path, body, message):
 
 @pytest.mark.parametrize("bad_line", [2, 3, 4, 5, 9, 10, 13])
 def test_read_long_csv_line_numbers_across_chunks(tmp_path, monkeypatch, bad_line):
-    """Chunks of three records, blank lines among them: the error still
-    names the physical line of the first bad row."""
+    """Byte chunks of about two lines and csv.reader chunks of three
+    records, blank lines among them: the error still names the physical
+    line of the first bad row."""
+    monkeypatch.setattr(ingest, "_READ_BYTES", 32)
     monkeypatch.setattr(ingest, "_CHUNK_ROWS", 3)
     lines = [HEADER]
     for lineno in range(2, 15):
@@ -309,7 +311,7 @@ def test_read_long_csv_chunking_does_not_change_the_table(tmp_path, monkeypatch)
     ]
     path = write_long_csv(tmp_path / "long.csv", trials)
     whole = read_long_csv(path)
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(ingest, "_READ_BYTES", 64)
     chunked = read_long_csv(path)
     for name in ("subject", "task", "session", "condition", "rt_ms", "accuracy"):
         assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
@@ -873,12 +875,16 @@ def read_or_error(read, path):
 
 
 @settings(max_examples=400, deadline=None)
-@given(table=long_tables(), chunk_rows=st.integers(1, 5))
-def test_read_long_csv_matches_csv_reader(table, chunk_rows):
+@given(table=long_tables(), chunk_rows=st.integers(1, 5), read_bytes=st.sampled_from([1 << 20, 1, 16, 40, 100]))
+def test_read_long_csv_matches_csv_reader(table, chunk_rows, read_bytes):
     field_limit, body = table
     previous = csv.field_size_limit(field_limit)
     try:
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        with (
+            tempfile.TemporaryDirectory() as tmp,
+            mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows),
+            mock.patch.object(ingest, "_READ_BYTES", read_bytes),
+        ):
             path = Path(tmp) / "long.csv"
             path.write_bytes(body.encode("utf-8"))
             expected = read_or_error(csv_reader_long_csv, path)
@@ -924,10 +930,9 @@ def read_counting_csv_reader(path):
 
 
 def test_plain_table_is_read_from_bytes(tmp_path, monkeypatch):
-    """A plain table of thousands of rows, in chunks that cross the read
-    blocks, reaches csv.reader only for its header. Subject ids share
-    their first 8 bytes, so they are told apart by their hash."""
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 1000)
+    """A plain table of thousands of rows, in reads that end inside a line,
+    reaches csv.reader only for its header. Subject ids share their first
+    8 bytes, so they are told apart by their hash."""
     monkeypatch.setattr(ingest, "_READ_BYTES", 4096)
     trials = [
         trial(
@@ -997,18 +1002,20 @@ def test_decimal_kernel_leaves_every_table_bit_as_float_reads_it(tmp_path, monke
         assert sum(taken) > 0.99 * len(table)
 
 
-@pytest.mark.parametrize("wide", [ingest._MAX_FIELD_BYTES + 1, FIELD_LIMIT])
-def test_read_long_csv_reads_from_a_wide_field_with_csv_reader(tmp_path, monkeypatch, wide):
+@pytest.mark.parametrize("wide, handed_over", [(ingest._MAX_FIELD_BYTES + 1, 1024), (FIELD_LIMIT, 1500)])
+def test_read_long_csv_reads_from_a_wide_field_with_csv_reader(tmp_path, monkeypatch, wide, handed_over):
     """csv.reader takes over at the chunk with a field wider than the byte
-    coder takes, not before, and the table is csv.reader's."""
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 1024)
+    coder takes, not before, and the table is csv.reader's. Every other
+    line has the same length, and each read holds 1024 of them; a wide
+    line that runs past its read starts the next chunk."""
     trials = [
-        trial("w" * wide if i == 1500 else f"s{i % 9}", 1 + i % 2, "ab"[i % 4 == 0], 300.0 + i)
+        trial("w" * wide if i == 1500 else f"s{i % 9}", 1 + i % 2, "ab"[i % 4 == 0], 1000.0 + i)
         for i in range(3000)
     ]
     path = write_long_csv(tmp_path / "long.csv", trials)
-    table, reader_calls, handed_over = read_counting_csv_reader(path)
-    assert (reader_calls, handed_over) == (2, 1024)
+    monkeypatch.setattr(ingest, "_READ_BYTES", 1024 * len("s0,stroop,1,a,1000.0,1\n"))
+    table, reader_calls, records = read_counting_csv_reader(path)
+    assert (reader_calls, records) == (2, handed_over)
     assert_same_table(table, csv_reader_long_csv(path))
 
 
@@ -1062,19 +1069,18 @@ def test_read_long_csv_reads_from_bytes_after_any_header_csv_reads(tmp_path, hea
 @settings(max_examples=200, deadline=None)
 @given(
     body=st.lists(st.sampled_from([b"a,b\n", b"\n", b"xyz", b"\n\n", b"12,3"]), max_size=40),
-    rows=st.integers(1, 6),
     block=st.integers(1, 9),
 )
-def test_line_chunks_cut_after_every_chunk_rows_newlines(body, rows, block):
+def test_line_chunks_cut_each_read_at_its_last_newline(body, block):
     data = b"".join(body)
-    with mock.patch.object(ingest, "_CHUNK_ROWS", rows), mock.patch.object(ingest, "_READ_BYTES", block):
+    with mock.patch.object(ingest, "_READ_BYTES", block):
         chunks = list(ingest._line_chunks(io.BytesIO(data)))
     assert b"".join(chunks) == data
-    assert all(chunks)
-    for chunk in chunks[:-1]:
-        assert chunk.count(b"\n") == rows and chunk.endswith(b"\n")
-    if chunks:
-        assert 0 < chunks[-1].count(b"\n") + (not chunks[-1].endswith(b"\n")) <= rows
+    cuts = [data.rfind(b"\n", start, start + block) + 1 for start in range(0, len(data), block)]
+    ends = [cut for cut in cuts if cut]
+    if data and not data.endswith(b"\n"):
+        ends.append(len(data))
+    assert list(accumulate(map(len, chunks))) == ends
 
 
 def field_words(names):

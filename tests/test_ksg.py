@@ -17,7 +17,7 @@ from scipy.special import digamma as scipy_digamma
 
 from reliakit import DegenerateSampleError, EstimatorError, ksg_mi, nlr_delta_rows
 from reliakit import estimators
-from reliakit.bootstrap import deletion_blocks, replicate_indices
+from reliakit.bootstrap import deletion_rows, replicate_indices
 from reliakit.estimators import (
     _BLOCK_ELEMENTS,
     _WINDOW_GROUP,
@@ -252,7 +252,8 @@ def _deletion_rows_terms(sample, ks, methods=METHODS):
     Gaussian baseline under each method."""
     mi_ksg = np.full((len(ks), sample.n), np.nan)
     mi_gauss = np.empty((len(methods), sample.n))
-    for start, stop, x1, x2 in deletion_blocks(sample):
+    for start, stop, rows in deletion_rows(sample.n):
+        x1, x2 = sample.x1[rows], sample.x2[rows]
         for j, k in enumerate(ks):
             if x1.shape[1] >= k + 1:
                 mi_ksg[j, start:stop] = _ksg_rows(x1, x2, (k,))[0]

@@ -79,6 +79,22 @@ def test_canonical_json_preserves_unicode():
     assert "Grün" in text
 
 
+# the bytes of the smoke fixture's contract and gate config: the gate
+# config pins the digests of the contract and of the table's manifest
+SMOKE_FIXTURE_SHA256 = {
+    "contracts/measures.json": "e9b4fc25cdb1c93f6d30e30e1b9c2172b277e8fdd7996f9aa0c3c95b003bb290",
+    "gate_config.json": "e6ae1a2df79548e73e7d5b1367d1d3236f7fdeef25fc738f70d55bd38b71af7a",
+}
+
+
+def test_smoke_fixture_contract_and_gate_config_are_pinned(tmp_path):
+    from reliakit.fixtures import make_smoke_workspace
+    from reliakit.hashutil import sha256_file
+
+    root = make_smoke_workspace(tmp_path)
+    assert {name: sha256_file(root / name) for name in SMOKE_FIXTURE_SHA256} == SMOKE_FIXTURE_SHA256
+
+
 def test_fmt_float_round_trips():
     rng = np.random.default_rng(2)
     values = list(rng.normal(size=500)) + [1e-300, 1e300, 0.1, 2.0 / 3.0]
